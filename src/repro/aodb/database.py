@@ -73,10 +73,6 @@ class AodbDatabase:
         """Called by the runtime when an actor is (re)activated."""
         self.indexes.note_instance(key.type_name, key.actor_id)
 
-    def forget_actor(self, key: ActorKey) -> None:
-        """Hard-delete an actor from indexes and extent (app-level delete)."""
-        self.indexes.remove_actor(key)
-
     # -- feature entry points ---------------------------------------------------
 
     def query(self, type_name: str) -> Query:

@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..errors import QueryError
+from ..fold import empty_fold, fold_summary, fold_values, merge_fold
 from ..runtime.actor import Actor, actor_method
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -59,40 +60,6 @@ GLOBAL_GROUP = "all"
 def shard_id(view_name: str, group: str) -> str:
     """The view actor id owning ``group`` of ``view_name``."""
     return f"{view_name}::{group}"
-
-
-# -- fold algebra (shared by view actors and the pull fallback) ----------------
-
-
-def empty_stats() -> list[float]:
-    """A fresh ``[count, total, vmin, vmax]`` accumulator."""
-    return [0, 0.0, math.inf, -math.inf]
-
-
-def fold_stats(
-    target: list[float], count: int, total: float, vmin: float, vmax: float
-) -> None:
-    """Merge one delta into an accumulator (commutative, associative)."""
-    target[0] += count
-    target[1] += total
-    if vmin < target[2]:
-        target[2] = vmin
-    if vmax > target[3]:
-        target[3] = vmax
-
-
-def stats_summary(stats: list[float] | None) -> dict:
-    """The reader-facing shape of one accumulator."""
-    if not stats or not stats[0]:
-        return {"count": 0, "total": 0.0, "mean": None, "min": None, "max": None}
-    count = int(stats[0])
-    return {
-        "count": count,
-        "total": stats[1],
-        "mean": stats[1] / count,
-        "min": stats[2],
-        "max": stats[3],
-    }
 
 
 def rank_value(stats: list[float], rank_by: str) -> float:
@@ -218,50 +185,39 @@ class MaterializedView(Actor):
         defn = self._definition()
         totals = self.state.get("totals")
         if totals is None:
-            totals = self.state["totals"] = empty_stats()
+            totals = self.state["totals"] = empty_fold()
         applied = 0
-        for _group, entity, bucket, count, total, vmin, vmax in entries:
-            fold_stats(totals, count, total, vmin, vmax)
-            applied += count
+        for entry in entries:
+            delta = entry[3:]
+            merge_fold(totals, delta)
+            applied += delta[0]
             if defn.kind == "window":
-                self._fold_bucket(defn, bucket, count, total, vmin, vmax)
+                self._fold_bucket(defn, entry[2], delta)
             elif defn.kind == "topk":
-                self._fold_entity(defn, entity, count, total, vmin, vmax)
+                self._fold_entity(defn, entry[1], delta)
         self.state["applied"] = self.state.get("applied", 0) + applied
         self.mark_dirty()
         return {"applied": applied, "duplicate": False}
 
     def _fold_bucket(
-        self,
-        defn: ViewDef,
-        bucket: float,
-        count: int,
-        total: float,
-        vmin: float,
-        vmax: float,
+        self, defn: ViewDef, bucket: float, delta: Sequence[float]
     ) -> None:
         buckets = self.state.setdefault("buckets", {})
         stats = buckets.get(bucket)
         if stats is None:
-            stats = buckets[bucket] = empty_stats()
-        fold_stats(stats, count, total, vmin, vmax)
+            stats = buckets[bucket] = empty_fold()
+        merge_fold(stats, delta)
         while len(buckets) > defn.max_buckets:
             del buckets[min(buckets)]  # evict the oldest window
 
     def _fold_entity(
-        self,
-        defn: ViewDef,
-        entity: str,
-        count: int,
-        total: float,
-        vmin: float,
-        vmax: float,
+        self, defn: ViewDef, entity: str, delta: Sequence[float]
     ) -> None:
         entities = self.state.setdefault("entities", {})
         stats = entities.get(entity)
         if stats is None:
-            stats = entities[entity] = empty_stats()
-        fold_stats(stats, count, total, vmin, vmax)
+            stats = entities[entity] = empty_fold()
+        merge_fold(stats, delta)
         if len(entities) > defn.entity_capacity:
             evict = min(
                 entities,
@@ -274,7 +230,7 @@ class MaterializedView(Actor):
     @actor_method(read_only=True)
     async def get(self) -> dict:
         """The group's aggregate — the dashboard's single cheap ask."""
-        summary = stats_summary(self.state.get("totals"))
+        summary = fold_summary(self.state.get("totals"))
         summary["group"] = self.group
         return summary
 
@@ -285,7 +241,7 @@ class MaterializedView(Actor):
         ordered = sorted(buckets)
         if last is not None:
             ordered = ordered[-last:]
-        return [[bucket, stats_summary(buckets[bucket])] for bucket in ordered]
+        return [[bucket, fold_summary(buckets[bucket])] for bucket in ordered]
 
     @actor_method(read_only=True)
     async def top(self, k: int | None = None) -> list:
@@ -298,7 +254,7 @@ class MaterializedView(Actor):
         )
         limit = defn.k if k is None else min(k, defn.k)
         return [
-            {"entity": entity, **stats_summary(entities[entity])}
+            {"entity": entity, **fold_summary(entities[entity])}
             for entity in ordered[:limit]
         ]
 
@@ -362,19 +318,16 @@ class PullViewHandle:
         rows = await (
             self._db.query(self.source).call("view_sample", self.group_by).run()
         )
-        stats = empty_stats()
+        stats = empty_fold()
         for row in rows:
             sample = row.value
             if sample["group"] != group or not sample["count"]:
                 continue
-            fold_stats(
+            merge_fold(
                 stats,
-                sample["count"],
-                sample["total"],
-                sample["vmin"],
-                sample["vmax"],
+                (sample["count"], sample["total"], sample["vmin"], sample["vmax"]),
             )
-        summary = stats_summary(stats)
+        summary = fold_summary(stats)
         summary["group"] = group
         return summary
 
@@ -438,13 +391,19 @@ class ViewRegistry:
     # -- delta emission (the ingestion write path calls this) ------------------
 
     def emit_from(
-        self, actor: Actor, batches: dict[str, list[tuple[float, float]]]
+        self,
+        actor: Actor,
+        batches: dict[str, list[tuple[float, float]]],
+        batch_fold: list,
     ) -> "list[Future[int]]":
         """Emit deltas for one accepted ingest; returns ack tickets.
 
-        The caller gathers the tickets alongside its storage futures, so
-        its insert ack covers view maintenance — that await is what turns
-        at-least-once delivery into exactly-once folding.
+        ``batch_fold`` is the caller's :func:`~repro.fold.fold_values` over
+        every point of ``batches``; only ``window`` views loop the points
+        again, to bucket them.  The caller gathers the tickets alongside
+        its storage futures, so its insert ack covers view maintenance —
+        that await is what turns at-least-once delivery into exactly-once
+        folding.
         """
         definitions = self._by_source.get(actor.key.type_name)
         if not definitions:
@@ -452,7 +411,6 @@ class ViewRegistry:
         coalescer = self._coalescer(actor.context.silo_id)
         entity = actor.actor_id
         tickets: "list[Future[int]]" = []
-        overall: list[float] | None = None
         for definition in definitions:
             if definition.group_by is None:
                 group = GLOBAL_GROUP
@@ -461,37 +419,26 @@ class ViewRegistry:
             shard = shard_id(definition.name, group)
             if definition.kind == "window":
                 # Window widths vary per definition, so bucketing cannot
-                # be shared the way the overall fold below is.
-                window_folds: dict[float, list[float]] = {}
+                # be shared the way the batch fold is.
+                window_values: dict[float, list[float]] = {}
                 width = definition.window_seconds
                 for points in batches.values():
                     for ts, value in points:
                         bucket = math.floor(ts / width) * width
-                        stats = window_folds.get(bucket)
-                        if stats is None:
-                            stats = window_folds[bucket] = empty_stats()
-                        fold_stats(stats, 1, value, value, value)
-                for bucket in sorted(window_folds):
-                    stats = window_folds[bucket]
+                        values = window_values.get(bucket)
+                        if values is None:
+                            values = window_values[bucket] = []
+                        values.append(value)
+                for bucket in sorted(window_values):
                     tickets.append(
                         coalescer.emit(
                             shard, group, entity, bucket,
-                            int(stats[0]), stats[1], stats[2], stats[3],
+                            fold_values(window_values[bucket]),
                         )
                     )
-            else:
-                if overall is None:
-                    overall = empty_stats()
-                    for points in batches.values():
-                        for _ts, value in points:
-                            fold_stats(overall, 1, value, value, value)
-                if not overall[0]:
-                    continue
+            elif batch_fold[0]:
                 tickets.append(
-                    coalescer.emit(
-                        shard, group, entity, 0.0,
-                        int(overall[0]), overall[1], overall[2], overall[3],
-                    )
+                    coalescer.emit(shard, group, entity, 0.0, batch_fold)
                 )
         return tickets
 

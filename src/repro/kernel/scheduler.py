@@ -652,10 +652,6 @@ class Scheduler:
             )
         return task.result()
 
-    def run_until(self, predicate: Callable[[], bool]) -> None:
-        """Process events until ``predicate()`` is true or events run out."""
-        self._run(predicate=predicate)
-
     def run_for(self, duration: float) -> None:
         """Process all events scheduled within ``duration`` seconds from now."""
         deadline = self._now + duration
@@ -671,7 +667,6 @@ class Scheduler:
         self,
         stop_future: Future[Any] | None = None,
         deadline: float | None = None,
-        predicate: Callable[[], bool] | None = None,
     ) -> None:
         """The dispatch loop: merge ready/heap/wheel in (when, seq) order.
 
@@ -687,9 +682,9 @@ class Scheduler:
         heappop = heapq.heappop
         processed = 0
         try:
-            if deadline is None and predicate is None:
+            if deadline is None:
                 # Fast variant (run_until_complete / drain): no per-event
-                # deadline or predicate test.  Kept textually parallel with
+                # deadline test.  Kept textually parallel with
                 # the general variant below.
                 while True:
                     if (
@@ -751,8 +746,6 @@ class Scheduler:
                         stop_future is not None
                         and stop_future._state is not _PENDING
                     ):
-                        return
-                    if predicate is not None and predicate():
                         return
                     if ready:
                         head = ready[0]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Awaitable, Callable
 
+from ..fold import merge_fold
 from ..kernel.futures import Future
 from ..kernel.scheduler import Scheduler
 
@@ -106,12 +107,12 @@ class DeltaCoalescer:
         group: str,
         entity: str,
         bucket: float,
-        count: int,
-        total: float,
-        vmin: float,
-        vmax: float,
+        delta: list,
     ) -> Future[int]:
         """Buffer one delta toward ``shard_id``; resolves on fold ack.
+
+        ``delta`` is a :mod:`repro.fold` accumulator; it is copied, never
+        mutated, so one batch fold can feed several views.
 
         The returned future carries the flush cohort size (how many raw
         deltas shared the flush), mirroring the envelope batcher's ticket.
@@ -128,14 +129,9 @@ class DeltaCoalescer:
         key = (group, entity, bucket)
         entry = buffer.entries.get(key)
         if entry is None:
-            buffer.entries[key] = [count, total, vmin, vmax]
+            buffer.entries[key] = list(delta)
         else:
-            entry[0] += count
-            entry[1] += total
-            if vmin < entry[2]:
-                entry[2] = vmin
-            if vmax > entry[3]:
-                entry[3] = vmax
+            merge_fold(entry, delta)
         buffer.members.append((ticket, now))
         if len(buffer.entries) >= self.max_keys:
             self._seal(shard_id, buffer)

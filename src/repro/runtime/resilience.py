@@ -175,7 +175,3 @@ class ResilienceStats:
     deadline_failures: int = 0
     exhausted: int = 0
     errors_by_type: dict[str, int] = field(default_factory=dict)
-
-    def note_error(self, error: BaseException) -> None:
-        name = type(error).__name__
-        self.errors_by_type[name] = self.errors_by_type.get(name, 0) + 1

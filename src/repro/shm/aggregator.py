@@ -183,12 +183,6 @@ class Aggregator(Actor):
         return self.buckets.series(start, end)
 
     @actor_method(read_only=True)
-    async def bucket_stats(self, timestamp: float) -> dict | None:
-        """Summary of the bucket containing ``timestamp``."""
-        stats = self.buckets.stats_for(self.buckets.bucket_of(timestamp))
-        return None if stats is None else stats.snapshot()
-
-    @actor_method(read_only=True)
     async def describe(self) -> dict:
         """Aggregator metadata and bucket count."""
         return {

@@ -10,9 +10,8 @@ silo, so the fan-out is loopback-cheap.
 
 from __future__ import annotations
 
-import math
-
 from ..errors import UnknownEntityError
+from ..fold import empty_fold, fold_values, merge_fold
 from ..runtime.actor import Actor, actor_method
 
 
@@ -117,27 +116,24 @@ class Sensor(Actor):
             for channel_id, points in batches.items()
         ]
         # Incremental view maintenance rides the same ack: fold the fresh
-        # points into this sensor's running stats (the pull fallback reads
-        # them via view_sample) and, when standing queries are registered
-        # over sensors, emit deltas whose fold ack gates ours — so an
-        # acked insert is visible in every registered view exactly once.
+        # points once, merge that fold into this sensor's running stats
+        # (the pull fallback reads them via view_sample) and, when
+        # standing queries are registered over sensors, emit it as the
+        # delta whose fold ack gates ours — so an acked insert is visible
+        # in every registered view exactly once.
+        batch_fold = fold_values(
+            value for points in batches.values() for _ts, value in points
+        )
         stats = self.state.get("view_stats")
         if stats is None:
-            stats = self.state["view_stats"] = [0, 0.0, math.inf, -math.inf]
-        for points in batches.values():
-            for _ts, value in points:
-                stats[0] += 1
-                stats[1] += value
-                if value < stats[2]:
-                    stats[2] = value
-                if value > stats[3]:
-                    stats[3] = value
+            stats = self.state["view_stats"] = empty_fold()
+        merge_fold(stats, batch_fold)
         self.mark_dirty()
         database = self.context.runtime.database
         if database is not None:
             views = getattr(database, "views", None)
             if views is not None and views.has_views_for(self.key.type_name):
-                delta_tickets = views.emit_from(self, batches)
+                delta_tickets = views.emit_from(self, batches, batch_fold)
                 if delta_tickets:
                     await self.context.runtime.scheduler.gather(delta_tickets)
         stored = await self.context.runtime.scheduler.gather(futures)
@@ -151,7 +147,7 @@ class Sensor(Actor):
         the extent and folds the rows client-side — the scan a registered
         materialized view replaces with a single shard ask.
         """
-        stats = self.state.get("view_stats") or [0, 0.0, math.inf, -math.inf]
+        stats = self.state.get("view_stats") or empty_fold()
         group = "all" if group_by is None else str(self.state.get(group_by))
         return {
             "group": group,

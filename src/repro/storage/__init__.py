@@ -9,14 +9,12 @@ from .serde import NotSerializableError, ensure_serializable, estimate_size, sna
 from .system_store import MembershipEntry, Reminder, SystemStore
 from .tsblocks import (
     BlockStats,
-    BlockSummary,
     SealedBlock,
     TieredSeries,
     decode_floats,
     decode_uints,
     encode_floats,
     encode_uints,
-    summarize,
 )
 from .wal import RedoJournal, RedoRecord
 
@@ -24,7 +22,6 @@ __all__ = [
     "ArchiveLog",
     "ArchiveRecord",
     "BlockStats",
-    "BlockSummary",
     "SealedBlock",
     "TieredSeries",
     "ChaosKVStore",
@@ -47,5 +44,4 @@ __all__ = [
     "ensure_serializable",
     "estimate_size",
     "snapshot",
-    "summarize",
 ]

@@ -21,16 +21,16 @@ The codec is the classic time-series pair (pure Python, bit-level):
   when it fits.  NaN payloads, infinities and ``-0.0`` all round-trip
   exactly because nothing ever leaves bit space.
 
-Every sealed block carries a :class:`BlockSummary` (count / first & last
-timestamp / min / max / sum), so range queries skip non-overlapping
-blocks without decompression and aggregate folds over fully-covered
-blocks are answered from the summary alone.
+Every sealed block carries its first & last timestamp next to its
+:mod:`repro.fold` accumulator (count / sum / min / max), so range
+queries skip non-overlapping blocks without decompression and aggregate
+folds over fully-covered blocks are answered from the fold alone.
 
-:class:`TieredSeries` is the engine: a ``DataWindow``-shaped surface
-(append / range / tail / eviction-on-capacity) whose interior is
-head + blocks.  Blocks are plain ``bytes`` + floats, so they ride the
-ordinary actor-state path — group-commit flushes, fencing, the redo
-journal and live migration all hold with no special cases.
+:class:`TieredSeries` is the engine: a bounded series (append / range /
+tail / eviction-on-capacity) whose interior is head + blocks.  Blocks
+are plain ``bytes`` + floats, so they ride the ordinary actor-state
+path — group-commit flushes, fencing, the redo journal and live
+migration all hold with no special cases.
 """
 
 from __future__ import annotations
@@ -39,10 +39,18 @@ import bisect
 import struct
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+from ..fold import (
+    empty_fold,
+    fold_extents,
+    fold_from_extents,
+    fold_summary,
+    fold_values,
+    merge_fold,
+)
 
 __all__ = [
-    "BlockSummary",
     "BlockStats",
     "SealedBlock",
     "TieredSeries",
@@ -50,7 +58,6 @@ __all__ = [
     "decode_uints",
     "encode_floats",
     "encode_uints",
-    "summarize",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -267,123 +274,42 @@ def decode_values(data: bytes, count: int) -> list[float]:
     return out
 
 
-# -- summaries -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockSummary:
-    """Per-block fold: what a range/aggregate query can answer decode-free.
-
-    ``v_min``/``v_max`` are ``None`` when every value in the block is NaN
-    (NaN readings count toward ``count`` and poison ``v_sum``, matching a
-    straight fold over the decoded points — see :func:`summarize`).
-    """
-
-    count: int
-    t_first: float
-    t_last: float
-    v_min: float | None
-    v_max: float | None
-    v_sum: float
-
-    def as_tuple(self) -> tuple:
-        return (
-            self.count, self.t_first, self.t_last,
-            self.v_min, self.v_max, self.v_sum,
-        )
-
-    @classmethod
-    def from_tuple(cls, doc: tuple) -> "BlockSummary":
-        return cls(*doc)
-
-
-def summarize(pairs: Sequence[tuple[float, float]]) -> BlockSummary:
-    """Fold ``(timestamp, value)`` pairs into a :class:`BlockSummary`.
-
-    This is *the* fold algebra: seal-time summaries and query-time folds
-    over decoded points both call it, so summary-answered aggregates are
-    consistent with decompress-and-fold by construction.
-    """
-    if not pairs:
-        raise ValueError("cannot summarize an empty block")
-    v_min: float | None = None
-    v_max: float | None = None
-    v_sum = 0.0
-    for _ts, value in pairs:
-        v_sum += value
-        if value == value:  # skip NaN for extents
-            if v_min is None or value < v_min:
-                v_min = value
-            if v_max is None or value > v_max:
-                v_max = value
-    return BlockSummary(
-        count=len(pairs),
-        t_first=pairs[0][0],
-        t_last=pairs[-1][0],
-        v_min=v_min,
-        v_max=v_max,
-        v_sum=v_sum,
-    )
-
-
-def merge_folds(folds: Iterable[BlockSummary]) -> dict:
-    """Combine block folds into one aggregate dict (commutative monoid)."""
-    count = 0
-    v_min: float | None = None
-    v_max: float | None = None
-    v_sum = 0.0
-    for fold in folds:
-        count += fold.count
-        v_sum += fold.v_sum
-        if fold.v_min is not None and (v_min is None or fold.v_min < v_min):
-            v_min = fold.v_min
-        if fold.v_max is not None and (v_max is None or fold.v_max > v_max):
-            v_max = fold.v_max
-    return {
-        "count": count,
-        "min": v_min,
-        "max": v_max,
-        "sum": v_sum,
-        "mean": (v_sum / count) if count else None,
-    }
-
-
 # -- sealed blocks -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SealedBlock:
-    """An immutable compressed run of points with its summary.
+    """An immutable compressed run of points with its time span and fold.
 
-    Contents are plain ``bytes`` + scalars, so a block is serializable
-    as-is into actor state documents, the redo journal and the archive.
+    ``fold`` is the block's ``(count, sum, vmin, vmax)`` accumulator, so
+    aggregates over a fully-covered block need no decode.  Contents are
+    plain ``bytes`` + scalars, so a block is serializable as-is into actor
+    state documents, the redo journal and the archive.
     """
 
     ts_bytes: bytes
     val_bytes: bytes
-    summary: BlockSummary
+    t_first: float
+    t_last: float
+    fold: tuple
 
     @classmethod
     def seal(cls, pairs: Sequence[tuple[float, float]]) -> "SealedBlock":
-        """Compress a time-ordered run of ``(timestamp, value)`` pairs."""
-        summary = summarize(pairs)
+        """Compress a non-empty, time-ordered run of ``(timestamp, value)``."""
+        if not pairs:
+            raise ValueError("cannot seal an empty block")
+        values = [p[1] for p in pairs]
         return cls(
             ts_bytes=encode_floats([p[0] for p in pairs]),
-            val_bytes=encode_values([p[1] for p in pairs]),
-            summary=summary,
+            val_bytes=encode_values(values),
+            t_first=pairs[0][0],
+            t_last=pairs[-1][0],
+            fold=tuple(fold_values(values)),
         )
 
     @property
     def count(self) -> int:
-        return self.summary.count
-
-    @property
-    def t_first(self) -> float:
-        return self.summary.t_first
-
-    @property
-    def t_last(self) -> float:
-        return self.summary.t_last
+        return self.fold[0]
 
     @property
     def nbytes(self) -> int:
@@ -392,21 +318,31 @@ class SealedBlock:
 
     def decode(self) -> list[tuple[float, float]]:
         """Decompress back to the exact ``(timestamp, value)`` pairs."""
-        count = self.summary.count
+        count = self.count
         timestamps = decode_floats(self.ts_bytes, count)
         values = decode_values(self.val_bytes, count)
         return list(zip(timestamps, values))
 
     def as_document(self) -> tuple:
-        """A flat, picklable representation for state documents."""
-        return (self.ts_bytes, self.val_bytes) + self.summary.as_tuple()
+        """A flat, picklable representation for state documents:
+        ``(ts, vals, count, t_first, t_last, v_min, v_max, v_sum)`` with
+        ``None`` extents for an all-NaN block."""
+        count, v_sum, _vmin, _vmax = self.fold
+        v_min, v_max = fold_extents(self.fold)
+        return (
+            self.ts_bytes, self.val_bytes,
+            count, self.t_first, self.t_last, v_min, v_max, v_sum,
+        )
 
     @classmethod
     def from_document(cls, doc: tuple) -> "SealedBlock":
+        ts_bytes, val_bytes, count, t_first, t_last, v_min, v_max, v_sum = doc
         return cls(
-            ts_bytes=doc[0],
-            val_bytes=doc[1],
-            summary=BlockSummary.from_tuple(tuple(doc[2:])),
+            ts_bytes=ts_bytes,
+            val_bytes=val_bytes,
+            t_first=t_first,
+            t_last=t_last,
+            fold=tuple(fold_from_extents(count, v_sum, v_min, v_max)),
         )
 
 
@@ -492,8 +428,7 @@ class BlockStats:
 class TieredSeries:
     """A bounded, time-ordered series tiered into hot head + sealed blocks.
 
-    The contract mirrors :class:`~repro.shm.timeseries.DataWindow` —
-    appends must be non-decreasing in time, ``capacity`` bounds the total
+    Appends must be non-decreasing in time, ``capacity`` bounds the total
     retained points, and whatever falls off the old end is returned from
     ``append_many`` so callers can archive it — but the interior is
     tiered: the newest ``< block_size`` points stay raw (the mutable hot
@@ -680,7 +615,7 @@ class TieredSeries:
     def range(self, start: float, end: float) -> list[tuple[float, float]]:
         """Pairs with start <= timestamp < end, stitched across tiers.
 
-        Blocks whose summary window misses ``[start, end)`` are skipped
+        Blocks whose time span misses ``[start, end)`` are skipped
         without decoding (counted in the block-skip-rate probe).
         """
         if end <= start:
@@ -742,17 +677,17 @@ class TieredSeries:
     def aggregate(self, start: float, end: float) -> dict:
         """Fold count/min/max/sum/mean over [start, end).
 
-        Blocks fully inside the range contribute their summary without
+        Blocks fully inside the range contribute their fold without
         decompression (counted in ``storage.summary_answers``); partially
-        overlapping blocks decode and fold only the matching points, via
-        the same :func:`summarize` algebra — so the answer is identical
-        to folding the decoded range.
+        overlapping blocks decode and fold only the matching points with
+        the same :mod:`repro.fold` algebra — so the answer equals folding
+        the decoded range (the sum up to float association).
         """
-        folds: list[BlockSummary] = []
-        edges: list[tuple[float, float]] = []
+        acc = empty_fold()
+        edges: list[float] = []
         if end > start:
             if self._old and self._old[-1][0] >= start and self._old[0][0] < end:
-                edges.extend(p for p in self._old if start <= p[0] < end)
+                edges.extend(v for t, v in self._old if start <= t < end)
             blocks = self._blocks
             if blocks:
                 stats = self.stats
@@ -765,21 +700,23 @@ class TieredSeries:
                     stats.blocks_skipped += len(blocks) - (hi - lo)
                 for block in blocks[lo:hi]:
                     if start <= block.t_first and block.t_last < end:
-                        folds.append(block.summary)
+                        merge_fold(acc, block.fold)
                         if stats is not None:
                             stats.summary_answers += 1
                     else:
                         edges.extend(
-                            p for p in self._decode(block)
-                            if start <= p[0] < end
+                            v for t, v in self._decode(block)
+                            if start <= t < end
                         )
             stamps = self._head_stamps
             lo = bisect.bisect_left(stamps, start)
             hi = bisect.bisect_left(stamps, end, lo)
-            edges.extend(self._head[lo:hi])
+            edges.extend(v for _t, v in self._head[lo:hi])
         if edges:
-            folds.append(summarize(edges))
-        return merge_folds(folds)
+            merge_fold(acc, fold_values(edges))
+        summary = fold_summary(acc)
+        summary["sum"] = summary.pop("total")
+        return summary
 
     # -- accounting & persistence ----------------------------------------------
 

@@ -17,9 +17,10 @@ for the historical queries the case studies need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from ..fold import fold_summary, fold_values
 from ..storage.archive import ArchiveLog
 
 
@@ -70,13 +71,14 @@ def parse_channel_id(channel_id: str) -> ChannelDimension:
 
 @dataclass
 class AggregateRow:
-    """One group of an aggregation query."""
+    """One group of an aggregation query (extents ``None`` when every
+    value is NaN, as for every :mod:`repro.fold` reader)."""
 
     group: tuple
     count: int
     total: float
-    minimum: float
-    maximum: float
+    minimum: float | None
+    maximum: float | None
 
     @property
     def mean(self) -> float:
@@ -161,7 +163,7 @@ class StarSchema:
         for attribute in group_by:
             if attribute != "time_key" and attribute not in valid:
                 raise ValueError(f"unknown group-by attribute {attribute!r}")
-        groups: dict[tuple, AggregateRow] = {}
+        groups: dict[tuple, list[float]] = {}
         for fact in self._facts:
             dimension = self._channel_rows[fact.channel_key]
             if where is not None and not where(dimension, fact):
@@ -172,15 +174,23 @@ class StarSchema:
                 else getattr(dimension, attribute)
                 for attribute in group_by
             )
-            row = groups.get(key)
-            if row is None:
-                groups[key] = AggregateRow(key, 1, fact.value, fact.value, fact.value)
-            else:
-                row.count += 1
-                row.total += fact.value
-                row.minimum = min(row.minimum, fact.value)
-                row.maximum = max(row.maximum, fact.value)
-        return [groups[key] for key in sorted(groups)]
+            values = groups.get(key)
+            if values is None:
+                values = groups[key] = []
+            values.append(fact.value)
+        rows = []
+        for key in sorted(groups):
+            summary = fold_summary(fold_values(groups[key]))
+            rows.append(
+                AggregateRow(
+                    key,
+                    summary["count"],
+                    summary["total"],
+                    summary["min"],
+                    summary["max"],
+                )
+            )
+        return rows
 
     def time_series(self, channel_id: str) -> list[tuple[int, float]]:
         """Per-time-bucket means for one channel (a plotting query)."""

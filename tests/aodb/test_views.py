@@ -1,13 +1,13 @@
 """Tests for incremental materialized views (registration, folds, reads)."""
 
-import math
-
 import pytest
 
 from repro.aodb import ViewDef
 from repro.aodb.views import GLOBAL_GROUP, VIEW_ACTOR_TYPE, shard_id
 from repro.errors import QueryError
+from repro.fold import empty_fold, fold_values, merge_fold
 from repro.runtime import Actor
+from repro.shm import ShmPlatform, channel_id_for, sensor_id_for
 
 
 class Meter(Actor):
@@ -15,18 +15,14 @@ class Meter(Actor):
 
     async def setup(self, org_id):
         self.state["org_id"] = org_id
-        self.state["view_stats"] = [0, 0.0, math.inf, -math.inf]
+        self.state["view_stats"] = empty_fold()
         return True
 
     async def add(self, points):
-        stats = self.state["view_stats"]
-        for _ts, value in points:
-            stats[0] += 1
-            stats[1] += value
-            stats[2] = min(stats[2], value)
-            stats[3] = max(stats[3], value)
+        batch_fold = fold_values(value for _ts, value in points)
+        merge_fold(self.state["view_stats"], batch_fold)
         views = self.context.runtime.database.views
-        tickets = views.emit_from(self, {"c0": points})
+        tickets = views.emit_from(self, {"c0": points}, batch_fold)
         if tickets:
             await self.context.runtime.scheduler.gather(tickets)
         return len(points)
@@ -238,3 +234,43 @@ def test_emitting_insert_acks_cover_the_fold(sched, meters):
 
     summary = sched.run_until_complete(main())
     assert summary["count"] == 1 and summary["total"] == 7.0
+
+
+# -- NaN contract over the real ingest path ------------------------------------
+
+
+def test_all_nan_readings_report_no_extents(sched, db):
+    """NaN counts but is never an extent: every view reader (get, buckets,
+    top, the pull fallback) reports ``None`` min/max for all-NaN input,
+    matching the channel's ``range_aggregate``."""
+    platform = ShmPlatform(db, window_capacity=64, block_size=16)
+    nan = float("nan")
+
+    async def main():
+        await platform.provision(total_sensors=1)
+        for definition in (
+            ViewDef(name="agg", source="Sensor", group_by="org_id"),
+            ViewDef(name="win", source="Sensor", group_by="org_id",
+                    kind="window", window_seconds=10.0),
+            ViewDef(name="top", source="Sensor", group_by="org_id",
+                    kind="topk", k=3),
+        ):
+            db.register_view(definition)
+        sensor_id = sensor_id_for("org-0", 0)
+        channel_id = channel_id_for(sensor_id, 0)
+        await platform.ingest(sensor_id, {channel_id: [(1.0, nan), (2.0, nan)]})
+        return (
+            await db.view("agg").get("org-0"),
+            await db.view("win").buckets("org-0"),
+            await db.view("top").top("org-0"),
+            await db.view("scan", source="Sensor", group_by="org_id").get("org-0"),
+            await platform.range_aggregate(channel_id, 0.0, 10.0),
+        )
+
+    got, buckets, ranked, pulled, ranged = sched.run_until_complete(main())
+    summaries = [got, buckets[0][1], ranked[0], pulled]
+    for summary in summaries:
+        assert summary["count"] == 2
+        assert summary["min"] is None and summary["max"] is None
+    assert ranged["count"] == 2
+    assert ranged["min"] is None and ranged["max"] is None

@@ -40,9 +40,9 @@ def test_same_window_deltas_coalesce_into_one_flush():
     coalescer = DeltaCoalescer(scheduler, send, "s1", max_delay=0.001)
 
     async def main():
-        t1 = coalescer.emit("shard", "g", "e1", 0.0, 1, 2.0, 2.0, 2.0)
-        t2 = coalescer.emit("shard", "g", "e1", 0.0, 1, 4.0, 4.0, 4.0)
-        t3 = coalescer.emit("shard", "g", "e2", 0.0, 1, 9.0, 9.0, 9.0)
+        t1 = coalescer.emit("shard", "g", "e1", 0.0, [1, 2.0, 2.0, 2.0])
+        t2 = coalescer.emit("shard", "g", "e1", 0.0, [1, 4.0, 4.0, 4.0])
+        t3 = coalescer.emit("shard", "g", "e2", 0.0, [1, 9.0, 9.0, 9.0])
         return await scheduler.gather([t1, t2, t3])
 
     cohorts = scheduler.run_until_complete(main())
@@ -65,8 +65,8 @@ def test_max_keys_overflow_seals_immediately():
     coalescer = DeltaCoalescer(scheduler, send, "s1", max_delay=5.0, max_keys=2)
 
     async def main():
-        t1 = coalescer.emit("shard", "g", "e1", 0.0, 1, 1.0, 1.0, 1.0)
-        t2 = coalescer.emit("shard", "g", "e2", 0.0, 1, 1.0, 1.0, 1.0)
+        t1 = coalescer.emit("shard", "g", "e1", 0.0, [1, 1.0, 1.0, 1.0])
+        t2 = coalescer.emit("shard", "g", "e2", 0.0, [1, 1.0, 1.0, 1.0])
         await scheduler.gather([t1, t2])
         return scheduler.now
 
@@ -82,10 +82,10 @@ def test_flushes_are_sequenced_and_fifo_chained():
     coalescer = DeltaCoalescer(scheduler, send, "s1", max_delay=0.0)
 
     async def main():
-        first = coalescer.emit("shard", "g", "e1", 0.0, 1, 1.0, 1.0, 1.0)
+        first = coalescer.emit("shard", "g", "e1", 0.0, [1, 1.0, 1.0, 1.0])
         # Let the first buffer seal and its (slow) flush depart...
         await scheduler.sleep(0.1)
-        second = coalescer.emit("shard", "g", "e1", 0.0, 1, 2.0, 2.0, 2.0)
+        second = coalescer.emit("shard", "g", "e1", 0.0, [1, 2.0, 2.0, 2.0])
         await scheduler.gather([first, second])
 
     scheduler.run_until_complete(main())
@@ -100,11 +100,11 @@ def test_failed_flush_raises_on_tickets_and_chain_continues():
     send.fail_next = True
 
     async def main():
-        doomed = coalescer.emit("shard", "g", "e1", 0.0, 1, 1.0, 1.0, 1.0)
+        doomed = coalescer.emit("shard", "g", "e1", 0.0, [1, 1.0, 1.0, 1.0])
         with pytest.raises(RuntimeError, match="injected"):
             await doomed
         # The chain is not wedged by the failure: the next flush departs.
-        ok = coalescer.emit("shard", "g", "e1", 0.0, 1, 2.0, 2.0, 2.0)
+        ok = coalescer.emit("shard", "g", "e1", 0.0, [1, 2.0, 2.0, 2.0])
         return await ok
 
     cohort = scheduler.run_until_complete(main())
@@ -120,7 +120,7 @@ def test_oldest_pending_tracks_buffered_and_inflight_deltas():
     coalescer = DeltaCoalescer(scheduler, send, "s1", max_delay=0.2)
 
     async def main():
-        ticket = coalescer.emit("shard", "g", "e1", 0.0, 1, 1.0, 1.0, 1.0)
+        ticket = coalescer.emit("shard", "g", "e1", 0.0, [1, 1.0, 1.0, 1.0])
         emitted_at = scheduler.now
         assert coalescer.oldest_pending() == emitted_at
         assert coalescer.pending_deltas() == 1
@@ -141,8 +141,8 @@ def test_independent_shards_flush_independently():
 
     async def main():
         tickets = [
-            coalescer.emit("shard-a", "g", "e1", 0.0, 1, 1.0, 1.0, 1.0),
-            coalescer.emit("shard-b", "g", "e1", 0.0, 1, 1.0, 1.0, 1.0),
+            coalescer.emit("shard-a", "g", "e1", 0.0, [1, 1.0, 1.0, 1.0]),
+            coalescer.emit("shard-b", "g", "e1", 0.0, [1, 1.0, 1.0, 1.0]),
         ]
         await scheduler.gather(tickets)
 

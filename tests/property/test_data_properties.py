@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from repro.bench import percentile
 from repro.cattle import haversine_meters
-from repro.shm import AccumulatedChange, AggregateStats, DataPoint, DataWindow
-from repro.storage import snapshot
+from repro.shm import AccumulatedChange, AggregateStats
+from repro.storage import TieredSeries, snapshot
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -103,12 +103,12 @@ def test_accumulated_change_invariants(values):
 @settings(max_examples=15, deadline=None)
 def test_window_capacity_and_order_invariants(timestamps, capacity):
     timestamps = sorted(timestamps)
-    window = DataWindow(capacity=capacity)
-    evicted = window.extend([DataPoint(ts, 0.0) for ts in timestamps])
+    window = TieredSeries(capacity, block_size=0)
+    evicted = window.append_many([(ts, 0.0) for ts in timestamps])
     assert len(window) == min(capacity, len(timestamps))
     assert len(evicted) + len(window) == len(timestamps)
-    points = window.all_points()
-    assert [p.timestamp for p in points] == timestamps[-len(points):]
+    pairs = window.all_pairs()
+    assert [t for t, _v in pairs] == timestamps[-len(pairs):]
 
 
 @given(
@@ -126,9 +126,9 @@ def test_window_capacity_and_order_invariants(timestamps, capacity):
 def test_window_range_matches_naive_filter(timestamps, bounds):
     timestamps = sorted(timestamps)
     start, end = min(bounds), max(bounds)
-    window = DataWindow(capacity=1000)
-    window.extend([DataPoint(ts, ts) for ts in timestamps])
-    got = [p.timestamp for p in window.range(start, end)]
+    window = TieredSeries(capacity=1000, block_size=0)
+    window.append_many([(ts, ts) for ts in timestamps])
+    got = [t for t, _v in window.range(start, end)]
     expected = [ts for ts in timestamps if start <= ts < end]
     assert got == expected
 

@@ -14,6 +14,7 @@ import struct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fold import fold_summary, fold_values
 from repro.storage import (
     SealedBlock,
     TieredSeries,
@@ -21,9 +22,8 @@ from repro.storage import (
     decode_uints,
     encode_floats,
     encode_uints,
-    summarize,
 )
-from repro.storage.tsblocks import decode_values, encode_values, merge_folds
+from repro.storage.tsblocks import decode_values, encode_values
 
 any_floats = st.floats(allow_nan=True, allow_infinity=True)
 
@@ -100,17 +100,20 @@ def test_sealed_block_roundtrips_and_summary_matches_fold(stamps, data):
     block = SealedBlock.seal(pairs)
     decoded = block.decode()
     assert [bits_of(p) for p in decoded] == [bits_of(p) for p in pairs]
-    # Summary-vs-decoded-fold consistency: the seal-time summary is the
-    # same fold the query path would compute from the decoded points.
-    refold = summarize(decoded)
-    assert refold.count == block.summary.count
-    assert refold.t_first == block.summary.t_first
-    assert refold.t_last == block.summary.t_last
-    assert refold.v_min == block.summary.v_min
-    assert refold.v_max == block.summary.v_max
-    assert refold.v_sum == block.summary.v_sum or (
-        math.isnan(refold.v_sum) and math.isnan(block.summary.v_sum)
-    )
+    # Fold-vs-decoded-fold consistency: the seal-time fold is the same
+    # fold the query path would compute from the decoded points, and it
+    # survives the block document.
+    refold = fold_values(v for _t, v in decoded)
+    restored = SealedBlock.from_document(block.as_document())
+    for fold in (block.fold, restored.fold):
+        assert refold[0] == fold[0]
+        assert refold[2] == fold[2]
+        assert refold[3] == fold[3]
+        assert refold[1] == fold[1] or (
+            math.isnan(refold[1]) and math.isnan(fold[1])
+        )
+    assert restored.t_first == block.t_first == decoded[0][0]
+    assert restored.t_last == block.t_last == decoded[-1][0]
 
 
 @given(stamps=timestamp_streams, data=st.data())
@@ -168,9 +171,9 @@ def test_aggregate_equals_fold_of_decoded_range(stamps, data):
     series.append_many(pairs)
     t0, t1 = pairs[0][0], pairs[-1][0] + 1.0
     got = series.aggregate(t0, t1)
-    expected = merge_folds([summarize(pairs)])
+    expected = fold_summary(fold_values(v for _t, v in pairs))
     assert got["count"] == expected["count"]
     assert got["min"] == expected["min"]
     assert got["max"] == expected["max"]
-    assert math.isclose(got["sum"], expected["sum"],
+    assert math.isclose(got["sum"], expected["total"],
                         rel_tol=1e-9, abs_tol=1e-9)

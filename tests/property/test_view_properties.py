@@ -12,7 +12,8 @@ should not need it.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aodb.views import empty_stats, fold_stats, rank_value, stats_summary
+from repro.aodb.views import rank_value
+from repro.fold import empty_fold, fold_summary, merge_fold
 
 deltas = st.lists(
     st.tuples(
@@ -27,9 +28,9 @@ deltas = st.lists(
 
 
 def fold_all(items):
-    stats = empty_stats()
+    stats = empty_fold()
     for count, total, vmin, vmax in items:
-        fold_stats(stats, count, float(total), float(vmin), float(vmax))
+        merge_fold(stats, (count, float(total), float(vmin), float(vmax)))
     return stats
 
 
@@ -48,19 +49,18 @@ def test_fold_of_premerged_cohorts_equals_direct_fold(deltas, split):
     """Coalescing (merge then fold) cannot change the answer."""
     split = min(split, len(deltas))
     left, right = deltas[:split], deltas[split:]
-    merged = empty_stats()
+    merged = empty_fold()
     for part in (left, right):
         if not part:
             continue
-        stats = fold_all(part)
-        fold_stats(merged, int(stats[0]), stats[1], stats[2], stats[3])
+        merge_fold(merged, fold_all(part))
     assert merged == fold_all(deltas)
 
 
 @given(deltas=deltas)
 def test_summary_is_consistent_with_the_raw_fold(deltas):
     stats = fold_all(deltas)
-    summary = stats_summary(stats)
+    summary = fold_summary(stats)
     assert summary["count"] == sum(d[0] for d in deltas)
     assert summary["total"] == sum(d[1] for d in deltas)
     assert summary["min"] == min(d[2] for d in deltas)
@@ -71,7 +71,7 @@ def test_summary_is_consistent_with_the_raw_fold(deltas):
 
 
 def test_empty_summary_has_no_extrema():
-    assert stats_summary(empty_stats()) == {
+    assert fold_summary(empty_fold()) == {
         "count": 0,
         "total": 0.0,
         "mean": None,

@@ -1,11 +1,10 @@
 """View shards are ordinary grains: they migrate and drain losslessly."""
 
-import math
-
 import pytest
 
 from repro.aodb import AodbDatabase, ViewDef
 from repro.aodb.views import VIEW_ACTOR_TYPE, shard_id
+from repro.fold import empty_fold, fold_values, merge_fold
 from repro.kernel import Scheduler
 from repro.net import ConstantLatency, Network
 from repro.runtime import Actor, ActorKey, AodbRuntime, RuntimeConfig
@@ -14,18 +13,14 @@ from repro.runtime import Actor, ActorKey, AodbRuntime, RuntimeConfig
 class Meter(Actor):
     async def setup(self, org_id):
         self.state["org_id"] = org_id
-        self.state["view_stats"] = [0, 0.0, math.inf, -math.inf]
+        self.state["view_stats"] = empty_fold()
         return True
 
     async def add(self, points):
-        stats = self.state["view_stats"]
-        for _ts, value in points:
-            stats[0] += 1
-            stats[1] += value
-            stats[2] = min(stats[2], value)
-            stats[3] = max(stats[3], value)
+        batch_fold = fold_values(value for _ts, value in points)
+        merge_fold(self.state["view_stats"], batch_fold)
         views = self.context.runtime.database.views
-        tickets = views.emit_from(self, {"c0": points})
+        tickets = views.emit_from(self, {"c0": points}, batch_fold)
         if tickets:
             await self.context.runtime.scheduler.gather(tickets)
         return len(points)

@@ -1,6 +1,4 @@
-"""Unit tests for windows, accumulated change and aggregates."""
-
-import math
+"""Unit tests for raw windows, accumulated change and aggregates."""
 
 import pytest
 
@@ -9,78 +7,81 @@ from repro.shm import (
     AggregateStats,
     BucketedAggregates,
     DataPoint,
-    DataWindow,
 )
+from repro.storage import TieredSeries
 
 
-# -- DataWindow ---------------------------------------------------------------
+# -- TieredSeries(block_size=0): the raw window channels and monitors use --
+
+
+def raw_window(capacity=4096):
+    return TieredSeries(capacity, block_size=0)
 
 
 def test_window_appends_in_order():
-    window = DataWindow(capacity=10)
-    window.append(DataPoint(1.0, 5.0))
-    window.append(DataPoint(2.0, 6.0))
+    window = raw_window(capacity=10)
+    window.append(1.0, 5.0)
+    window.append(2.0, 6.0)
     assert len(window) == 2
-    assert window.latest().value == 6.0
+    assert window.tail(1) == [(2.0, 6.0)]
 
 
 def test_window_rejects_out_of_order():
-    window = DataWindow()
-    window.append(DataPoint(2.0, 1.0))
+    window = raw_window()
+    window.append(2.0, 1.0)
     with pytest.raises(ValueError):
-        window.append(DataPoint(1.0, 1.0))
+        window.append(1.0, 1.0)
 
 
 def test_window_allows_equal_timestamps():
-    window = DataWindow()
-    window.append(DataPoint(1.0, 1.0))
-    window.append(DataPoint(1.0, 2.0))
+    window = raw_window()
+    window.append(1.0, 1.0)
+    window.append(1.0, 2.0)
     assert len(window) == 2
 
 
 def test_window_evicts_oldest_when_full():
-    window = DataWindow(capacity=3)
-    evicted = window.extend([DataPoint(float(i), i) for i in range(5)])
-    assert [p.timestamp for p in evicted] == [0.0, 1.0]
+    window = raw_window(capacity=3)
+    evicted = window.append_many([(float(i), i) for i in range(5)])
+    assert [t for t, _v in evicted] == [0.0, 1.0]
     assert len(window) == 3
-    assert window.all_points()[0].timestamp == 2.0
+    assert window.all_pairs()[0][0] == 2.0
     assert window.total_appended == 5
 
 
 def test_window_range_query_half_open():
-    window = DataWindow()
-    window.extend([DataPoint(float(i), i * 10) for i in range(10)])
-    points = window.range(2.0, 5.0)
-    assert [p.timestamp for p in points] == [2.0, 3.0, 4.0]
+    window = raw_window()
+    window.append_many([(float(i), i * 10) for i in range(10)])
+    assert [t for t, _v in window.range(2.0, 5.0)] == [2.0, 3.0, 4.0]
 
 
 def test_window_tail():
-    window = DataWindow()
-    window.extend([DataPoint(float(i), i) for i in range(5)])
-    assert [p.value for p in window.tail(2)] == [3, 4]
+    window = raw_window()
+    window.append_many([(float(i), i) for i in range(5)])
+    assert [v for _t, v in window.tail(2)] == [3, 4]
     assert window.tail(0) == []
     assert len(window.tail(100)) == 5
 
 
 def test_window_latest_empty():
-    assert DataWindow().latest() is None
+    assert raw_window().tail(1) == []
+    assert raw_window().latest() is None
 
 
 def test_window_range_correct_across_heavy_eviction():
-    """Range queries stay correct while the head offset advances and the
-    lazy compaction fires (regression for the O(n) rebuild-per-query fix)."""
-    window = DataWindow(capacity=8)
+    """Range queries stay correct while eviction keeps trimming the head."""
+    window = raw_window(capacity=8)
     for i in range(100):
-        window.append(DataPoint(float(i), i * 1.0))
+        window.append(float(i), i * 1.0)
         lo = max(0, i - 7)  # oldest surviving timestamp
-        got = [p.timestamp for p in window.range(float(lo), float(i + 1))]
+        got = [t for t, _v in window.range(float(lo), float(i + 1))]
         assert got == [float(t) for t in range(lo, i + 1)]
     # Sub-ranges, boundaries, and misses after eviction.
-    assert [p.timestamp for p in window.range(95.0, 98.0)] == [95.0, 96.0, 97.0]
+    assert [t for t, _v in window.range(95.0, 98.0)] == [95.0, 96.0, 97.0]
     assert window.range(0.0, 92.0) == []
-    assert [p.value for p in window.tail(3)] == [97.0, 98.0, 99.0]
-    assert len(window.all_points()) == 8
-    assert window.latest().timestamp == 99.0
+    assert [v for _t, v in window.tail(3)] == [97.0, 98.0, 99.0]
+    assert len(window.all_pairs()) == 8
+    assert window.tail(1)[0][0] == 99.0
 
 
 def test_window_range_is_logarithmic_not_linear():
@@ -90,9 +91,8 @@ def test_window_range_is_logarithmic_not_linear():
     import timeit
 
     def cost(capacity):
-        window = DataWindow(capacity=capacity)
-        for i in range(capacity):
-            window.append(DataPoint(float(i), 0.0))
+        window = raw_window(capacity=capacity)
+        window.append_many([(float(i), 0.0) for i in range(capacity)])
         # Small fixed-size answer from a large window.
         return min(
             timeit.repeat(
@@ -108,7 +108,7 @@ def test_window_range_is_logarithmic_not_linear():
 
 def test_window_capacity_validation():
     with pytest.raises(ValueError):
-        DataWindow(capacity=0)
+        raw_window(capacity=0)
 
 
 # -- AccumulatedChange ---------------------------------------------------------

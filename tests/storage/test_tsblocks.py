@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.fold import fold_summary, fold_values, merge_fold
 from repro.storage.tsblocks import (
     BlockStats,
     SealedBlock,
@@ -14,8 +15,6 @@ from repro.storage.tsblocks import (
     encode_floats,
     encode_uints,
     encode_values,
-    merge_folds,
-    summarize,
 )
 
 
@@ -77,32 +76,37 @@ def test_empty_codec_inputs():
 
 
 def test_summary_fields():
-    pairs = [(1.0, 5.0), (2.0, -1.0), (3.0, 4.0)]
-    summary = summarize(pairs)
-    assert summary.count == 3
-    assert summary.t_first == 1.0 and summary.t_last == 3.0
-    assert summary.v_min == -1.0 and summary.v_max == 5.0
-    assert summary.v_sum == 8.0
+    block = SealedBlock.seal([(1.0, 5.0), (2.0, -1.0), (3.0, 4.0)])
+    assert block.count == 3
+    assert block.t_first == 1.0 and block.t_last == 3.0
+    assert block.fold == (3, 8.0, -1.0, 5.0)
+    doc = block.as_document()
+    assert doc[2:] == (3, 1.0, 3.0, -1.0, 5.0, 8.0)
 
 
 def test_summary_all_nan_extents_are_none():
-    summary = summarize([(1.0, math.nan), (2.0, math.nan)])
-    assert summary.v_min is None and summary.v_max is None
-    assert summary.count == 2
+    block = SealedBlock.seal([(1.0, math.nan), (2.0, math.nan)])
+    summary = fold_summary(block.fold)
+    assert summary["min"] is None and summary["max"] is None
+    assert summary["count"] == 2
+    # The block document keeps None extents; the restored fold matches.
+    doc = block.as_document()
+    assert doc[5] is None and doc[6] is None
+    assert fold_summary(SealedBlock.from_document(doc).fold)["min"] is None
 
 
 def test_summarize_empty_raises():
     with pytest.raises(ValueError):
-        summarize([])
+        SealedBlock.seal([])
 
 
 def test_merge_folds_matches_flat_fold():
-    pairs = walk(100)
-    merged = merge_folds([summarize(pairs[:40]), summarize(pairs[40:])])
-    flat = summarize(pairs)
-    assert merged["count"] == flat.count
-    assert merged["min"] == flat.v_min and merged["max"] == flat.v_max
-    assert merged["sum"] == pytest.approx(flat.v_sum)
+    values = [v for _t, v in walk(100)]
+    merged = merge_fold(fold_values(values[:40]), fold_values(values[40:]))
+    flat = fold_values(values)
+    assert merged[0] == flat[0]
+    assert merged[2] == flat[2] and merged[3] == flat[3]
+    assert merged[1] == pytest.approx(flat[1])
 
 
 def test_sealed_block_roundtrip_and_document():
@@ -113,7 +117,7 @@ def test_sealed_block_roundtrip_and_document():
     assert block.nbytes < 16 * 64  # actually compresses
     restored = SealedBlock.from_document(block.as_document())
     assert restored.decode() == pairs
-    assert restored.summary == block.summary
+    assert restored == block
 
 
 # -- TieredSeries: writes, sealing, eviction -----------------------------------
@@ -210,12 +214,12 @@ def test_aggregate_matches_raw_fold():
     pairs = walk(200)
     series.append_many(pairs)
     t0, t1 = pairs[10][0], pairs[150][0]
-    expected = summarize([p for p in pairs if t0 <= p[0] < t1])
+    expected = fold_summary(fold_values(v for t, v in pairs if t0 <= t < t1))
     got = series.aggregate(t0, t1)
-    assert got["count"] == expected.count
-    assert got["min"] == expected.v_min and got["max"] == expected.v_max
-    assert got["sum"] == pytest.approx(expected.v_sum)
-    assert got["mean"] == pytest.approx(expected.v_sum / expected.count)
+    assert got["count"] == expected["count"]
+    assert got["min"] == expected["min"] and got["max"] == expected["max"]
+    assert got["sum"] == pytest.approx(expected["total"])
+    assert got["mean"] == pytest.approx(expected["mean"])
 
 
 def test_aggregate_uses_summaries_for_covered_blocks():

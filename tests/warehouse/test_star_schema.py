@@ -95,3 +95,23 @@ def test_load_archive_selected_streams():
     schema = StarSchema()
     assert schema.load_archive(archive, streams=["a"]) == 1
     assert schema.channel_count == 1
+
+
+def test_aggregate_extents_ignore_nan_in_any_order():
+    """NaN counts and poisons the total but is never an extent, wherever it
+    sits in the group; an all-NaN group has no extents."""
+    nan = float("nan")
+    rows = {}
+    for name, values in (
+        ("nan-first", [nan, 5.0]), ("nan-last", [5.0, nan]), ("all-nan", [nan]),
+    ):
+        schema = StarSchema()
+        for i, value in enumerate(values):
+            schema.load_fact("org-0/s-0/c-0", float(i), value)
+        (rows[name],) = schema.aggregate(group_by=("org_id",))
+    for name in ("nan-first", "nan-last"):
+        row = rows[name]
+        assert (row.count, row.minimum, row.maximum) == (2, 5.0, 5.0)
+        assert row.total != row.total  # NaN
+    assert rows["all-nan"].count == 1
+    assert rows["all-nan"].minimum is None and rows["all-nan"].maximum is None
