@@ -14,7 +14,9 @@ SENSOR_COUNTS = (600, 1200, 1800, 2400)
 
 @pytest.fixture(scope="module")
 def fig6_result():
-    return run_fig6(sensor_counts=SENSOR_COUNTS, duration=6.0)
+    # The paper's shape holds under the paper's calibration: the ingestion
+    # fast path (the runner's default) lifts the plateau past 1,800 req/s.
+    return run_fig6(sensor_counts=SENSOR_COUNTS, duration=6.0, fast_path=False)
 
 
 def test_fig6_shape(fig6_result):

@@ -17,7 +17,9 @@ SCALE_FACTORS = (1, 2, 3)
 
 @pytest.fixture(scope="module")
 def fig7_result():
-    return run_fig7(scale_factors=SCALE_FACTORS, duration=4.0)
+    # The paper's ~80% utilization target is a property of its calibration;
+    # the ingestion fast path (the runner's default) needs far less CPU.
+    return run_fig7(scale_factors=SCALE_FACTORS, duration=4.0, fast_path=False)
 
 
 def test_fig7_linear_scaling(fig7_result):

@@ -13,7 +13,7 @@ Usage::
     python -m repro.bench incident        # recorded netsplit: postmortem dump
     python -m repro.bench incident --smoke# + flight-recorder invariant checks
 
-Perf baselines (fig6 / fig7 / micro)::
+Perf baselines (every bench in ``baseline.BUILDERS``)::
 
     python -m repro.bench fig6 --write-baseline BENCH_fig6.json
                                           # run full + smoke sweeps, commit
@@ -69,7 +69,7 @@ RUNNERS = {
 
 
 def _run_baseline_command(name: str, args: argparse.Namespace) -> int:
-    """fig6/fig7/micro with one of the baseline flags (or micro --smoke)."""
+    """A baselined bench with --smoke or one of the baseline flags."""
     builder = BUILDERS[name]
     started = time.time()
     if args.write_baseline:
@@ -108,21 +108,10 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro-bench",
         description="Regenerate the paper's figures on the simulated cluster.",
     )
+    commands = sorted(RUNNERS.keys() | BUILDERS.keys())
     parser.add_argument(
         "experiment",
-        choices=sorted(RUNNERS)
-        + [
-            "all",
-            "trace",
-            "profile",
-            "incident",
-            "micro",
-            "elastic",
-            "partition",
-            "speed",
-            "views",
-            "tsbench",
-        ],
+        choices=commands + ["all", "trace", "profile", "incident"],
         help="which figure/ablation to run (or a traced/profiled demo run)",
     )
     parser.add_argument(
@@ -130,28 +119,30 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="scaled-down parameters (seconds instead of minutes)",
     )
+    baselined = "/".join(BUILDERS)
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="trace/profile: tiny scenario plus invariant checks; "
-        "fig6/fig7/micro: the three-point sweep the CI perf gate replays",
+        help="trace/profile/incident: tiny scenario plus invariant checks; "
+        f"{baselined}: the sweep the CI perf gate replays",
     )
     parser.add_argument(
         "--json",
         metavar="PATH",
-        help="fig6/fig7/micro: write the fresh run's payload as JSON",
+        help=f"{baselined}: write the fresh run's payload as JSON",
     )
     parser.add_argument(
         "--check-baseline",
         metavar="PATH",
-        help="fig6/fig7/micro: gate the fresh run against a committed "
-        "BENCH_*.json (fails on >10%% throughput drop or >15%% p99 rise)",
+        help=f"{baselined}: gate the fresh run against a committed "
+        "BENCH_<command>.json (every field must match exactly, apart from "
+        "the host-measured ones in baseline.HOST_MEASURED)",
     )
     parser.add_argument(
         "--write-baseline",
         metavar="PATH",
-        help="fig6/fig7/micro: run full + smoke sweeps and (re)write the "
-        "committed BENCH_*.json",
+        help=f"{baselined}: run full + smoke sweeps and (re)write the "
+        "committed BENCH_<command>.json",
     )
     args = parser.parse_args(argv)
     if args.experiment == "trace":
@@ -169,20 +160,13 @@ def main(argv: list[str] | None = None) -> int:
 
         print(run_incident_bench(smoke=args.smoke))
         return 0
-    baseline_flags = args.json or args.check_baseline or args.write_baseline
-    if args.experiment in (
-        "micro", "elastic", "partition", "speed", "views", "tsbench"
-    ):
-        if not (baseline_flags or args.smoke):
-            print(
-                json.dumps(
-                    BUILDERS[args.experiment](False), indent=2, sort_keys=True
-                )
-            )
+    if args.experiment in BUILDERS:
+        if args.json or args.check_baseline or args.write_baseline or args.smoke:
+            return _run_baseline_command(args.experiment, args)
+        if args.experiment not in RUNNERS:
+            payload = BUILDERS[args.experiment](False)
+            print(json.dumps(payload, indent=2, sort_keys=True))
             return 0
-        return _run_baseline_command(args.experiment, args)
-    if args.experiment in BUILDERS and (baseline_flags or args.smoke):
-        return _run_baseline_command(args.experiment, args)
     names = sorted(RUNNERS) if args.experiment == "all" else [args.experiment]
     for name in names:
         runner = RUNNERS[name]

@@ -20,11 +20,10 @@ what real sensor payloads look like and what XOR compression rewards):
 Invariants (raised as :class:`TsBenchInvariantError`, failing CI loudly):
 ROADMAP's ≥10× per-sensor memory reclaimed, a ≥4× sealed-tier compression
 floor, recent-read latency within 2× of the raw window, and exact query
-equivalence.  The committed ``BENCH_tsblocks.json`` is gated by
-:func:`gate_tsblocks` — deterministic quantities (ratios, point/block
-counts) are compared against the baseline; wall-clock numbers are
-reported but only the recent-scan *ratio* is bounded, host-speed drift
-cancels out of it.
+equivalence.  The committed ``BENCH_tsbench.json`` gates every
+deterministic quantity (memory and compression ratios, point and block
+counts) exactly; the wall-clock scan and append timings and their ratios
+are host-measured, so they are reported, not gated.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ MEMORY_RECLAIM_FLOOR = 10.0
 COMPRESSION_FLOOR = 4.0
 #: Recent-data range scans must stay within 2x of the raw window.
 RECENT_SCAN_CEILING = 2.0
-#: Gate tolerance on baseline-relative ratios (compression, memory).
-RATIO_DROP_TOLERANCE = 0.10
 
 BLOCK_SIZE = 256
 
@@ -361,7 +358,7 @@ def build_tsbench(smoke: bool = False) -> dict:
         f"is below the {COMPRESSION_FLOOR}x floor",
     )
     return {
-        "bench": "tsblocks",
+        "bench": "tsbench",
         "mode": "smoke" if smoke else "full",
         "title": "Tiered time-series storage (hot head + compressed blocks)",
         "series": {"engine": engine, "platform": platform},
@@ -375,42 +372,3 @@ def build_tsbench(smoke: bool = False) -> dict:
         },
     }
 
-
-def gate_tsblocks(fresh: dict, baseline: dict) -> list[str]:
-    """CI gate: deterministic ratios and counts against the committed file.
-
-    Wall-clock latencies vary with the host, so the gate bounds only the
-    tiered/raw *ratio* (host speed cancels) plus the deterministic
-    compression and memory numbers, which a healthy checkout reproduces
-    exactly.
-    """
-    failures: list[str] = []
-    fresh_engine = fresh["series"]["engine"]
-    base_engine = baseline["series"]["engine"]
-    for key in ("memory_reclaimed_x", "compression_ratio"):
-        floor = base_engine[key] * (1 - RATIO_DROP_TOLERANCE)
-        if fresh_engine[key] < floor:
-            failures.append(
-                f"engine {key} {fresh_engine[key]} fell below gate "
-                f"{floor:.2f} (baseline {base_engine[key]})"
-            )
-    if fresh_engine["recent_scan_ratio"] > RECENT_SCAN_CEILING:
-        failures.append(
-            f"engine recent_scan_ratio {fresh_engine['recent_scan_ratio']} "
-            f"exceeds the {RECENT_SCAN_CEILING}x ceiling"
-        )
-    for key in ("blocks_sealed", "sealed_points"):
-        if fresh_engine[key] != base_engine[key]:
-            failures.append(
-                f"engine {key} {fresh_engine[key]} != baseline "
-                f"{base_engine[key]} (deterministic sealing drifted)"
-            )
-    fresh_platform = fresh["series"]["platform"]
-    base_platform = baseline["series"]["platform"]
-    for key in ("points_ingested", "points_archived", "archive_blocks_sealed"):
-        if fresh_platform[key] != base_platform[key]:
-            failures.append(
-                f"platform {key} {fresh_platform[key]} != baseline "
-                f"{base_platform[key]} (deterministic run drifted)"
-            )
-    return failures

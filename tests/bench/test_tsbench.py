@@ -35,7 +35,7 @@ def test_quantized_walk_is_deterministic_and_ordered():
 
 
 def test_smoke_payload_shape(smoke_payload):
-    assert smoke_payload["bench"] == "tsblocks"
+    assert smoke_payload["bench"] == "tsbench"
     assert smoke_payload["mode"] == "smoke"
     assert set(smoke_payload["series"]) == {"engine", "platform"}
     summary = smoke_payload["summary"]
@@ -60,7 +60,7 @@ def test_platform_leg_conserved_points_across_tiers(smoke_payload):
 
 
 def test_committed_baseline_gates_the_fresh_smoke_run(smoke_payload):
-    baseline = load_baseline("BENCH_tsblocks.json")
+    baseline = load_baseline("BENCH_tsbench.json")
     assert check_against_baseline(smoke_payload, baseline) == []
     # A compression regression fails the gate...
     regressed = copy.deepcopy(smoke_payload)
