@@ -256,18 +256,41 @@ def ring_record_cost(iterations: int = 50_000, reps: int = 7) -> float:
     return best
 
 
+def paired_recorder_overhead(reps: int = 9) -> tuple[float, float, float, float]:
+    """Best paired (trace + record) / message ratio, with its three parts.
+
+    Numerator and denominator are measured in interleaved reps, the
+    pairing ``repro.bench speed`` uses: each rep times the recorder slices
+    immediately before one calibrated workload run.  Host noise (CPU steal
+    on shared runners) comes in windows spanning whole measurements, so a
+    pair inside one window sees it on both sides and the ratio cancels it,
+    where minimising each side separately can pair a numerator from a slow
+    window with a denominator from a fast one.
+    """
+    run_workload(tracing=False)  # warm allocator, code objects, caches
+    best = (float("inf"), 0.0, 0.0, 0.0)
+    for _ in range(reps):
+        trace_cost = recorder_trace_cost(iterations=5_000, reps=1)
+        record_cost = ring_record_cost(iterations=20_000, reps=1)
+        elapsed, messages, _runtime = run_workload(tracing=False)
+        assert messages > 0
+        message_cost = elapsed / messages
+        ratio = (trace_cost + record_cost) / message_cost
+        if ratio < best[0]:
+            best = (ratio, trace_cost, record_cost, message_cost)
+    return best
+
+
 def test_recorder_overhead_under_five_percent():
     """Retention scoring + one ring record cost < 5% of a message.
 
-    Same stable-ratio methodology as the tracing budget.  The numerator is
-    deliberately conservative: it charges every message a *whole* recorded
-    root trace (real traces span several messages) plus a journal record
-    (most messages touch no hook site).
+    Same stable-ratio methodology as the tracing budget, with the two
+    sides paired rep by rep (:func:`paired_recorder_overhead`).  The
+    numerator is deliberately conservative: it charges every message a
+    *whole* recorded root trace (real traces span several messages) plus
+    a journal record (most messages touch no hook site).
     """
-    trace_cost = recorder_trace_cost()
-    record_cost = ring_record_cost()
-    message_cost = per_message_cost()
-    overhead = (trace_cost + record_cost) / message_cost
+    overhead, trace_cost, record_cost, message_cost = paired_recorder_overhead()
     assert overhead < 0.05, (
         f"recorder overhead {overhead * 100:.2f}% "
         f"(trace {trace_cost * 1e6:.2f}µs, record {record_cost * 1e6:.2f}µs, "

@@ -21,6 +21,13 @@ The codec is the classic time-series pair (pure Python, bit-level):
   when it fits.  NaN payloads, infinities and ``-0.0`` all round-trip
   exactly because nothing ever leaves bit space.
 
+The codec works a word at a time: each encoder keeps one bit
+accumulator per block in locals and emits a point's control bits and
+payload in one shift-or; a block converts between float and uint64 with
+one ``struct`` call; each decoder renders the block once as a bit string
+and reads fields as slices of it.  The byte format is pinned by golden
+digests in ``tests/storage/test_tsblocks.py``.
+
 Every sealed block carries its first & last timestamp next to its
 :mod:`repro.fold` accumulator (count / sum / min / max), so range
 queries skip non-overlapping blocks without decompression and aggregate
@@ -36,6 +43,7 @@ migration all hold with no special cases.
 from __future__ import annotations
 
 import bisect
+import operator
 import struct
 import sys
 from dataclasses import dataclass
@@ -63,139 +71,119 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _SIGN = 1 << 63
 
-_pack_d = struct.Struct(">d").pack
-_unpack_d = struct.Struct(">d").unpack
+
+def _float_words(values: Sequence[float]) -> tuple:
+    """IEEE-754 bit patterns of ``values`` as uint64s (one struct call)."""
+    count = len(values)
+    return struct.unpack(f"={count}Q", struct.pack(f"={count}d", *values))
 
 
-def _float_to_ordered(x: float) -> int:
-    """Map a float to a uint64 preserving IEEE-754 total order."""
-    bits = struct.unpack(">Q", _pack_d(x))[0]
-    if bits & _SIGN:
-        return bits ^ _MASK64
-    return bits | _SIGN
+def _word_floats(words: Sequence[int]) -> list[float]:
+    """Inverse of :func:`_float_words`."""
+    count = len(words)
+    return list(struct.unpack(f"={count}d", struct.pack(f"={count}Q", *words)))
 
 
-def _ordered_to_float(i: int) -> float:
-    bits = (i ^ _SIGN) if (i & _SIGN) else (i ^ _MASK64)
-    return _unpack_d(struct.pack(">Q", bits))[0]
+def _bit_string(data: bytes) -> str:
+    """``data`` as one ``'0'``/``'1'`` string, MSB first, built once per block."""
+    return f"{int.from_bytes(data, 'big'):0{len(data) * 8}b}"
 
 
-class _BitWriter:
-    """Append bits MSB-first; flushes whole bytes out of the accumulator."""
+def _flush(out: bytearray, acc: int, nbits: int) -> tuple[int, int]:
+    """Move an accumulator's whole bytes into ``out``; return the rest.
 
-    __slots__ = ("_acc", "_nbits", "_chunks")
-
-    def __init__(self) -> None:
-        self._acc = 0
-        self._nbits = 0
-        self._chunks = bytearray()
-
-    def write(self, value: int, nbits: int) -> None:
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nbits += nbits
-        if self._nbits >= 1024:
-            keep = self._nbits & 7
-            flush_bits = self._nbits - keep
-            self._chunks += (self._acc >> keep).to_bytes(flush_bits // 8, "big")
-            self._acc &= (1 << keep) - 1
-            self._nbits = keep
-
-    def getvalue(self) -> bytes:
-        pad = (-self._nbits) % 8
-        acc, nbits = self._acc << pad, self._nbits + pad
-        tail = acc.to_bytes(nbits // 8, "big") if nbits else b""
-        return bytes(self._chunks) + tail
+    Encoders flush every ~1,024 bits, so a shift-or never costs O(block).
+    """
+    keep = nbits & 7
+    out += (acc >> keep).to_bytes(nbits >> 3, "big")
+    return acc & ((1 << keep) - 1), keep
 
 
-class _BitReader:
-    """Read bits MSB-first from a bytes buffer."""
-
-    __slots__ = ("_acc", "_total", "_pos")
-
-    def __init__(self, data: bytes) -> None:
-        self._acc = int.from_bytes(data, "big")
-        self._total = len(data) * 8
-        self._pos = 0
-
-    def read(self, nbits: int) -> int:
-        shift = self._total - self._pos - nbits
-        self._pos += nbits
-        return (self._acc >> shift) & ((1 << nbits) - 1)
-
-
-def _zigzag(v: int) -> int:
-    return (v << 1) if v >= 0 else ((-v) << 1) - 1
-
-
-def _unzigzag(n: int) -> int:
-    return (n >> 1) if not (n & 1) else -((n + 1) >> 1)
-
-
-def _write_dod(writer: _BitWriter, dod: int) -> None:
-    # Bucketed variable-length encoding; the final bucket is 68 bits
-    # because a dod of two uint64 deltas spans up to ±2^65, which
-    # zigzags into 67 bits.
-    n = _zigzag(dod)
-    if n == 0:
-        writer.write(0b0, 1)
-    elif n < (1 << 7):
-        writer.write(0b10, 2)
-        writer.write(n, 7)
-    elif n < (1 << 12):
-        writer.write(0b110, 3)
-        writer.write(n, 12)
-    elif n < (1 << 20):
-        writer.write(0b1110, 4)
-        writer.write(n, 20)
-    elif n < (1 << 32):
-        writer.write(0b11110, 5)
-        writer.write(n, 32)
-    else:
-        writer.write(0b11111, 5)
-        writer.write(n, 68)
-
-
-def _read_dod(reader: _BitReader) -> int:
-    if reader.read(1) == 0:
-        return 0
-    if reader.read(1) == 0:
-        return _unzigzag(reader.read(7))
-    if reader.read(1) == 0:
-        return _unzigzag(reader.read(12))
-    if reader.read(1) == 0:
-        return _unzigzag(reader.read(20))
-    if reader.read(1) == 0:
-        return _unzigzag(reader.read(32))
-    return _unzigzag(reader.read(68))
+def _finish(out: bytearray, acc: int, nbits: int) -> bytes:
+    """Zero-pad the accumulator to a byte boundary and flush it."""
+    pad = -nbits & 7
+    _flush(out, acc << pad, nbits + pad)
+    return bytes(out)
 
 
 def encode_uints(values: Sequence[int]) -> bytes:
-    """Delta-of-delta encode a sequence of non-negative integers."""
+    """Delta-of-delta encode a sequence of non-negative integers.
+
+    Each dod is zigzagged into a bucketed field — ``'0'``, or ``'10'`` +
+    7 bits, ``'110'`` + 12, ``'1110'`` + 20, ``'11110'`` + 32, ``'11111'``
+    + 68 — written with its control bits in one shift-or.  The final
+    bucket is 68 bits because a dod of two uint64 deltas spans up to
+    ±2^65, which zigzags into 67 bits.
+    """
     if not values:
         return b""
-    writer = _BitWriter()
-    writer.write(values[0], 64)
+    out = bytearray()
     prev = values[0]
+    acc = prev & _MASK64
+    nbits = 64
     prev_delta = 0
     for value in values[1:]:
         delta = value - prev
-        _write_dod(writer, delta - prev_delta)
-        prev, prev_delta = value, delta
-    return writer.getvalue()
+        dod = delta - prev_delta
+        prev = value
+        prev_delta = delta
+        if not dod:
+            acc <<= 1
+            nbits += 1
+            continue
+        n = (dod << 1) if dod > 0 else ((-dod) << 1) - 1
+        if n < 0x80:
+            acc = (acc << 9) | 0x100 | n
+            nbits += 9
+        elif n < 0x1000:
+            acc = (acc << 15) | 0x6000 | n
+            nbits += 15
+        elif n < 0x100000:
+            acc = (acc << 24) | 0xE00000 | n
+            nbits += 24
+        elif n < 0x100000000:
+            acc = (acc << 37) | 0x1E00000000 | n
+            nbits += 37
+        else:
+            acc = (acc << 73) | (0b11111 << 68) | n
+            nbits += 73
+        if nbits >= 1024:
+            acc, nbits = _flush(out, acc, nbits)
+    return _finish(out, acc, nbits)
 
 
 def decode_uints(data: bytes, count: int) -> list[int]:
     """Inverse of :func:`encode_uints` for ``count`` integers."""
     if count == 0:
         return []
-    reader = _BitReader(data)
-    value = reader.read(64)
+    bits = _bit_string(data)
+    value = int(bits[:64], 2)
     out = [value]
+    append = out.append
     delta = 0
+    pos = 64
     for _ in range(count - 1):
-        delta += _read_dod(reader)
+        if bits[pos] == "0":
+            pos += 1
+        else:
+            if bits[pos + 1] == "0":
+                n = int(bits[pos + 2:pos + 9], 2)
+                pos += 9
+            elif bits[pos + 2] == "0":
+                n = int(bits[pos + 3:pos + 15], 2)
+                pos += 15
+            elif bits[pos + 3] == "0":
+                n = int(bits[pos + 4:pos + 24], 2)
+                pos += 24
+            elif bits[pos + 4] == "0":
+                n = int(bits[pos + 5:pos + 37], 2)
+                pos += 37
+            else:
+                n = int(bits[pos + 5:pos + 73], 2)
+                pos += 73
+            delta += (n >> 1) ^ -(n & 1)
         value += delta
-        out.append(value)
+        append(value)
     return out
 
 
@@ -206,72 +194,91 @@ def encode_floats(values: Sequence[float]) -> bytes:
     delta arithmetic is integer), but sized for monotone timestamps:
     a fixed-interval stream costs ~1 bit per point after the header.
     """
-    return encode_uints([_float_to_ordered(v) for v in values])
+    return encode_uints(
+        [(w ^ _MASK64) if w & _SIGN else (w | _SIGN) for w in _float_words(values)]
+    )
 
 
 def decode_floats(data: bytes, count: int) -> list[float]:
     """Inverse of :func:`encode_floats`."""
-    return [_ordered_to_float(i) for i in decode_uints(data, count)]
+    ordered = decode_uints(data, count)
+    return _word_floats(
+        [(i ^ _SIGN) if i & _SIGN else (i ^ _MASK64) for i in ordered]
+    )
 
 
 def encode_values(values: Sequence[float]) -> bytes:
-    """Gorilla XOR-encode a sequence of float values."""
+    """Gorilla XOR-encode a sequence of float values.
+
+    A zero XOR is ``'0'``; an XOR inside the previous meaningful window
+    is ``'10'`` + the window bits; otherwise ``'11'`` + 5-bit leading-zero
+    count (clamped to 31) + 6-bit width−1 + the meaningful bits.  Each
+    case is one shift-or into the accumulator.
+    """
     if not values:
         return b""
-    writer = _BitWriter()
-    prev = struct.unpack(">Q", _pack_d(values[0]))[0]
-    writer.write(prev, 64)
-    prev_leading = -1
+    words = _float_words(values)
+    out = bytearray()
+    acc = prev = words[0]
+    nbits = 64
+    # No window yet: a leading count of 64 can never be reused.
+    prev_leading = 64
     prev_meaningful = 0
-    for value in values[1:]:
-        bits = struct.unpack(">Q", _pack_d(value))[0]
+    prev_trailing = 64
+    for bits in words[1:]:
         xor = bits ^ prev
         prev = bits
-        if xor == 0:
-            writer.write(0b0, 1)
+        if not xor:
+            acc <<= 1
+            nbits += 1
             continue
         leading = 64 - xor.bit_length()
         if leading > 31:
             leading = 31
         trailing = (xor & -xor).bit_length() - 1
-        meaningful = 64 - leading - trailing
-        if (
-            prev_leading >= 0
-            and leading >= prev_leading
-            and 64 - prev_leading - prev_meaningful <= trailing
-        ):
-            # Fits the previous window: '10' + bits in that window.
-            writer.write(0b10, 2)
-            prev_trailing = 64 - prev_leading - prev_meaningful
-            writer.write(xor >> prev_trailing, prev_meaningful)
+        if leading >= prev_leading and trailing >= prev_trailing:
+            width = prev_meaningful + 2
+            field = (2 << prev_meaningful) | (xor >> prev_trailing)
         else:
-            writer.write(0b11, 2)
-            writer.write(leading, 5)
-            writer.write(meaningful - 1, 6)
-            writer.write(xor >> trailing, meaningful)
-            prev_leading = leading
-            prev_meaningful = meaningful
-    return writer.getvalue()
+            meaningful = 64 - leading - trailing
+            width = meaningful + 13
+            header = 0x1800 | (leading << 6) | (meaningful - 1)
+            field = (header << meaningful) | (xor >> trailing)
+            prev_leading, prev_meaningful, prev_trailing = leading, meaningful, trailing
+        acc = (acc << width) | field
+        nbits += width
+        if nbits >= 1024:
+            acc, nbits = _flush(out, acc, nbits)
+    return _finish(out, acc, nbits)
 
 
 def decode_values(data: bytes, count: int) -> list[float]:
     """Inverse of :func:`encode_values` for ``count`` floats."""
     if count == 0:
         return []
-    reader = _BitReader(data)
-    bits = reader.read(64)
-    out = [_unpack_d(struct.pack(">Q", bits))[0]]
-    leading = 0
+    bits = _bit_string(data)
+    word = int(bits[:64], 2)
+    words = [word]
+    append = words.append
     meaningful = 64
+    trailing = 0
+    pos = 64
     for _ in range(count - 1):
-        if reader.read(1):
-            if reader.read(1):
-                leading = reader.read(5)
-                meaningful = reader.read(6) + 1
-            trailing = 64 - leading - meaningful
-            bits ^= reader.read(meaningful) << trailing
-        out.append(_unpack_d(struct.pack(">Q", bits))[0])
-    return out
+        if bits[pos] == "1":
+            if bits[pos + 1] == "1":
+                header = int(bits[pos + 2:pos + 13], 2)
+                meaningful = (header & 63) + 1
+                trailing = 64 - (header >> 6) - meaningful
+                pos += 13
+            else:
+                pos += 2
+            end = pos + meaningful
+            word ^= int(bits[pos:end], 2) << trailing
+            pos = end
+        else:
+            pos += 1
+        append(word)
+    return _word_floats(words)
 
 
 # -- sealed blocks -------------------------------------------------------------
@@ -513,15 +520,20 @@ class TieredSeries:
         if not pairs:
             return self._NO_EVICTIONS
         last = self.last_timestamp
-        for pair in pairs:
-            timestamp = pair[0]
-            if last is not None and timestamp < last:
-                raise ValueError(
-                    f"out-of-order point: {timestamp} after {last}"
-                )
-            last = timestamp
+        stamps = [pair[0] for pair in pairs]
+        if (last is not None and stamps[0] < last) or not all(
+            map(operator.le, stamps, stamps[1:])
+        ):
+            # Slow path, only to name the offending point.  A NaN stamp
+            # fails ``le`` but is never ``<`` its neighbour, so it passes.
+            for timestamp in stamps:
+                if last is not None and timestamp < last:
+                    raise ValueError(
+                        f"out-of-order point: {timestamp} after {last}"
+                    )
+                last = timestamp
         self._head.extend(pairs)
-        self._head_stamps.extend(pair[0] for pair in pairs)
+        self._head_stamps.extend(stamps)
         self.total_appended += len(pairs)
         stats = self.stats
         if stats is not None:
@@ -559,26 +571,20 @@ class TieredSeries:
                 if stats is not None:
                     stats.head_points -= take
             elif self._blocks:
-                block = self._blocks[0]
+                block = self._blocks.pop(0)
+                del self._block_last[0]
+                if stats is not None:
+                    stats.blocks_evicted += 1
+                    stats.block_bytes -= block.nbytes
+                    stats.sealed_points -= block.count
                 if block.count <= need:
                     evicted.append(block)
-                    del self._blocks[0]
-                    del self._block_last[0]
                     need -= block.count
-                    if stats is not None:
-                        stats.blocks_evicted += 1
-                        stats.block_bytes -= block.nbytes
-                        stats.sealed_points -= block.count
                 else:
                     # Boundary falls inside the oldest block: decode it
                     # once; its remainder becomes the old-side buffer.
                     self._old = self._decode(block)
-                    del self._blocks[0]
-                    del self._block_last[0]
                     if stats is not None:
-                        stats.blocks_evicted += 1
-                        stats.block_bytes -= block.nbytes
-                        stats.sealed_points -= block.count
                         stats.head_points += block.count
             else:
                 take = min(need, len(self._head))
@@ -589,6 +595,19 @@ class TieredSeries:
                 if stats is not None:
                     stats.head_points -= take
         return evicted
+
+    def _overlapping(self, start: float, end: float) -> list[SealedBlock]:
+        """Blocks whose span can meet ``[start, end)``; counts the skipped."""
+        blocks = self._blocks
+        # First block that can overlap: t_last >= start.
+        lo = hi = bisect.bisect_left(self._block_last, start)
+        while hi < len(blocks) and blocks[hi].t_first < end:
+            hi += 1
+        stats = self.stats
+        if stats is not None:
+            stats.blocks_considered += len(blocks)
+            stats.blocks_skipped += len(blocks) - (hi - lo)
+        return blocks[lo:hi]
 
     def _decode(self, block: SealedBlock) -> list[tuple[float, float]]:
         if block is self._cache_block:
@@ -623,24 +642,11 @@ class TieredSeries:
         out: list[tuple[float, float]] = []
         if self._old and self._old[-1][0] >= start and self._old[0][0] < end:
             out.extend(p for p in self._old if start <= p[0] < end)
-        blocks = self._blocks
-        if blocks:
-            stats = self.stats
-            # First block that can overlap: t_last >= start.
-            lo = bisect.bisect_left(self._block_last, start)
-            hi = lo
-            while hi < len(blocks) and blocks[hi].t_first < end:
-                hi += 1
-            if stats is not None:
-                stats.blocks_considered += len(blocks)
-                stats.blocks_skipped += len(blocks) - (hi - lo)
-            for block in blocks[lo:hi]:
-                if start <= block.t_first and block.t_last < end:
-                    out.extend(self._decode(block))
-                else:
-                    out.extend(
-                        p for p in self._decode(block) if start <= p[0] < end
-                    )
+        for block in self._overlapping(start, end):
+            if start <= block.t_first and block.t_last < end:
+                out.extend(self._decode(block))
+            else:
+                out.extend(p for p in self._decode(block) if start <= p[0] < end)
         stamps = self._head_stamps
         lo = bisect.bisect_left(stamps, start)
         hi = bisect.bisect_left(stamps, end, lo)
@@ -688,26 +694,16 @@ class TieredSeries:
         if end > start:
             if self._old and self._old[-1][0] >= start and self._old[0][0] < end:
                 edges.extend(v for t, v in self._old if start <= t < end)
-            blocks = self._blocks
-            if blocks:
-                stats = self.stats
-                lo = bisect.bisect_left(self._block_last, start)
-                hi = lo
-                while hi < len(blocks) and blocks[hi].t_first < end:
-                    hi += 1
-                if stats is not None:
-                    stats.blocks_considered += len(blocks)
-                    stats.blocks_skipped += len(blocks) - (hi - lo)
-                for block in blocks[lo:hi]:
-                    if start <= block.t_first and block.t_last < end:
-                        merge_fold(acc, block.fold)
-                        if stats is not None:
-                            stats.summary_answers += 1
-                    else:
-                        edges.extend(
-                            v for t, v in self._decode(block)
-                            if start <= t < end
-                        )
+            stats = self.stats
+            for block in self._overlapping(start, end):
+                if start <= block.t_first and block.t_last < end:
+                    merge_fold(acc, block.fold)
+                    if stats is not None:
+                        stats.summary_answers += 1
+                else:
+                    edges.extend(
+                        v for t, v in self._decode(block) if start <= t < end
+                    )
             stamps = self._head_stamps
             lo = bisect.bisect_left(stamps, start)
             hi = bisect.bisect_left(stamps, end, lo)

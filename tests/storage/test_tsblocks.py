@@ -1,6 +1,10 @@
 """Unit tests for the tiered, compressed time-series engine."""
 
+import hashlib
 import math
+import random
+import re
+import struct
 
 import pytest
 
@@ -70,6 +74,204 @@ def test_empty_codec_inputs():
     assert decode_uints(b"", 0) == []
     assert encode_values([]) == b""
     assert decode_values(b"", 0) == []
+
+
+# -- golden bytes --------------------------------------------------------------
+#
+# Round-trip tests still pass if the byte format drifts; these digests pin
+# the format itself.  Block documents, archive blocks and the compression
+# figures in the BENCH files all depend on it.
+
+
+def _from_bits(bits):
+    return struct.unpack(">d", struct.pack(">Q", bits))[0]
+
+
+def _golden_corpus():
+    rng = random.Random(20190326)
+    t0 = 1_546_300_800.0
+    regular = [t0 + i * 0.1 for i in range(1024)]
+    irregular, t = [], t0
+    for _ in range(1024):
+        t += rng.choice((0.0, 1e-6, 0.1, 0.1, 0.1, 0.37, 5.0, 3600.0))
+        irregular.append(t)
+    signal = [10.0 + 0.001 * stamp for stamp in regular]
+    noisy = [round(20.0 + rng.gauss(0.0, 2.5), 2) for _ in range(1024)]
+    # NaNs by bit pattern: math.nan's payload and sign vary by platform.
+    specials = [
+        _from_bits(0x7FF8000000000000),
+        _from_bits(0x7FF8DEAD00000001),
+        _from_bits(0xFFF8000000000000),
+        math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+        _from_bits(0x000FFFFFFFFFFFFF), 2.2250738585072014e-308,
+        1.7976931348623157e308, 1.0, -1.0,
+    ]
+    special = [rng.choice(specials) for _ in range(512)]
+    constant = []
+    for _ in range(40):
+        constant.extend([rng.choice((21.5, -3.0, 0.0, 1e9))] * rng.randint(1, 60))
+    floats = {
+        "regular": regular,
+        "irregular": irregular,
+        "signal": signal,
+        "noisy": noisy,
+        "special": special,
+        "constant": constant,
+    }
+    for n in (0, 1, 2, 255, 256, 257):
+        floats[f"regular[:{n}]"] = regular[:n]
+        floats[f"noisy[:{n}]"] = noisy[:n]
+    uints = {
+        "regular": [1_000_000 + 100 * i for i in range(1024)],
+        "irregular": [int(stamp * 1000) for stamp in irregular],
+        "wide": [rng.getrandbits(rng.choice((7, 12, 20, 32, 64))) for _ in range(512)],
+    }
+    for n in (0, 1, 2, 255, 256, 257):
+        uints[f"regular[:{n}]"] = uints["regular"][:n]
+    return floats, uints
+
+
+def _golden_digests():
+    floats, uints = _golden_corpus()
+    digests = {}
+    for name, values in floats.items():
+        digests[f"floats/{name}"] = hashlib.sha256(encode_floats(values)).hexdigest()
+        digests[f"values/{name}"] = hashlib.sha256(encode_values(values)).hexdigest()
+    for name, values in uints.items():
+        digests[f"uints/{name}"] = hashlib.sha256(encode_uints(values)).hexdigest()
+    return digests
+
+
+#: Digests of the encoders' output on :func:`_golden_corpus`.
+GOLDEN_SHA256 = {
+    "floats/regular": "1453c2bdea4969475877a5a9bae133a345ca1e04c0b4add2038741dc6a496006",
+    "values/regular": "178955d036266c6b0869f01b42e953b4cabeb463c02d363aae690bea016e0f26",
+    "floats/irregular": "ef72e0a5d6639ed751279ad12c1c23ba17f831500f6141cde872bd63d5cf61e7",
+    "values/irregular": "a8bc171862e653ce811ef73d271a0e0a15278b7d139295078eee43ca286b820a",
+    "floats/signal": "9738abdfb1fcccd6458caf24745388753b8f248a578f028ea8a08c7d7805d3dd",
+    "values/signal": "57b81294d8eaca053d24e562df5d2f0cac80941e8abd23c9ca0c6f51177e2e03",
+    "floats/noisy": "814c685d510ceaa684e028c7feec8ab1c0731779d03250bf4004798ae08596bf",
+    "values/noisy": "3cf7c64dd5c09134b7bd3f168e52215db088b2380b6da3ef0662af7584918423",
+    "floats/special": "d65bf9d01f0e82b4d40ea8b36d965dbb1ba1bbc8b43634636e56e43ffc186a69",
+    "values/special": "747229e65ec0bd7895a3b0eb47113facaf260c710f147c67f1142f5060fd878f",
+    "floats/constant": "a0fd3bd90cd0039be927d161134d6ddc758611e72f65d0f51a9f82bd31025e4a",
+    "values/constant": "b3d1aa3828003ca9f284144323e3c5f4aa345d1005e8bfddc3ffda2c645fb2e2",
+    "floats/regular[:0]": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "values/regular[:0]": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "floats/noisy[:0]": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "values/noisy[:0]": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "floats/regular[:1]": "2f8b1f72c385beafe1272022ff2e767247de951fd3bbd40be9623bccc851a98f",
+    "values/regular[:1]": "c8a1aca2c22a355e136ade5259030747ad5e999ef4b55e44380809f0c4060c23",
+    "floats/noisy[:1]": "e09b29be181e9288ac748c3cf0d0d47fe213eac7cf530fb2f4d7c91b688870c7",
+    "values/noisy[:1]": "fe5bad17bbefe1f944c2f6fda670ffde3f789b7660117000bf8e6c34347b4a54",
+    "floats/regular[:2]": "ad2c55fb566a9e4021e2fdc80912dfe8d9eb2e6e7e9e3f82a0f1edf7cd62a2a1",
+    "values/regular[:2]": "24ca2432a2ad685c408c08942774f795bb14b45eee5c58717ba7f6a6180f44a3",
+    "floats/noisy[:2]": "9d399fbc3aa272337c20131ace95c8144305e3fdd01133e57c423cac7cda6727",
+    "values/noisy[:2]": "607160bc34cd984d04070097d304022e861bd1c286250662cd471be9adb70421",
+    "floats/regular[:255]": "9de483175ed0db7efe0797b43074194ff1e5e6f7ebb55711be6449cfa2268097",
+    "values/regular[:255]": "92bf7366b3940bdc8c60d8a53cb1f65781b1a815e787a771bcfb25baf45e722a",
+    "floats/noisy[:255]": "d71f03fd59d219328d1c53e8596ca71a785a206982bccc16da93949517f3bf5b",
+    "values/noisy[:255]": "9e533d947149602458a09821a6f54d2660117943da9a37b33022682929e7b748",
+    "floats/regular[:256]": "e802e5977fecbaba5c6db839d65dbb550e9e42738ac9b3bb3bcd147f54e31966",
+    "values/regular[:256]": "9903272f6a04e84554ef6a461c9c9ce1e43df6f36c1ab57294ca946cdb022000",
+    "floats/noisy[:256]": "82c2b108bcafd96dd0ff94c31c38c4c8d49bb2234d3ee14efcc8a094948143ba",
+    "values/noisy[:256]": "b66ed88c288796cf860a1af44be51d4bfbee46a830c608ff51623a9a6f1448a6",
+    "floats/regular[:257]": "e802e5977fecbaba5c6db839d65dbb550e9e42738ac9b3bb3bcd147f54e31966",
+    "values/regular[:257]": "cd1393f0505eaa4e952a9367739dd07b7fa7c28833c05c1abd61b70a0011f095",
+    "floats/noisy[:257]": "98cf093e40d45a3fddd4c9bde3f6d750649760eb17be86ea0e8f80b846716b64",
+    "values/noisy[:257]": "c6f772960cf2cd0277d1d5aa6408e019c58baf47423f41282ec339af3a345470",
+    "uints/regular": "e5fb6ad33b275cc97d4de671c4854b77daa3ecac3c6a39af60c7486cd349225c",
+    "uints/irregular": "8ba1110552b8e2600f87723b1f3e445481a30a00b67b680ef09572da374bdfaa",
+    "uints/wide": "bc17d92e2d9835292f78dda1d66641d3a01f46a0648d2d08a0ae4df9ddf34ed4",
+    "uints/regular[:0]": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "uints/regular[:1]": "ce59b701970051bef0d7efdc1a4196c49ce1bbaaf9c5403626ad7adcc41737e7",
+    "uints/regular[:2]": "dac0cbfcebbf7633ba4f9a229d9d662d37f965e2c8a5afbb54efc409f7cfb1e4",
+    "uints/regular[:255]": "b7e08f85896a8d77b38e0a997c3be82b29e7b8e7d5d3dfa5ad84919fb8b2b8e3",
+    "uints/regular[:256]": "b7e08f85896a8d77b38e0a997c3be82b29e7b8e7d5d3dfa5ad84919fb8b2b8e3",
+    "uints/regular[:257]": "b7e08f85896a8d77b38e0a997c3be82b29e7b8e7d5d3dfa5ad84919fb8b2b8e3",
+}
+
+
+def test_encoders_match_golden_bytes():
+    assert _golden_digests() == GOLDEN_SHA256
+
+
+# -- bucket edges and large blocks ---------------------------------------------
+
+
+def _bits_equal(got, expected):
+    """Bit-for-bit float equality (NaN payloads and -0.0 included)."""
+    return struct.pack(f">{len(got)}d", *got) == struct.pack(
+        f">{len(expected)}d", *expected
+    )
+
+
+def _dod_for_zigzag(n):
+    return (n >> 1) if not n & 1 else -((n + 1) >> 1)
+
+
+@pytest.mark.parametrize(
+    "zigzag, bits",
+    [
+        (0, 1),
+        (2**7 - 1, 9),
+        (2**7, 15),
+        (2**12 - 1, 15),
+        (2**12, 24),
+        (2**20 - 1, 24),
+        (2**20, 37),
+        (2**32 - 1, 37),
+        (2**32, 73),
+    ],
+)
+def test_dod_bucket_edges(zigzag, bits):
+    base = 1 << 40
+    values = [base, base + _dod_for_zigzag(zigzag)]
+    encoded = encode_uints(values)
+    assert len(encoded) == (64 + bits + 7) // 8
+    assert decode_uints(encoded, 2) == values
+
+
+def test_dod_68_bit_bucket():
+    values = [0, 2**64 - 1, 0, 2**64 - 1, 2**64 - 1, 1]
+    assert decode_uints(encode_uints(values), len(values)) == values
+    # Two 68-bit dods (zigzag >= 2^32) follow the 64-bit header.
+    assert len(encode_uints(values[:3])) == (64 + 2 * 73 + 7) // 8
+
+
+@pytest.mark.parametrize("leading", [30, 31, 32, 40, 63])
+def test_xor_leading_zero_clamp(leading):
+    base = 0x4035000000000000
+    xor = 1 << (63 - leading)
+    values = [_from_bits(base), _from_bits(base ^ xor), _from_bits(base)]
+    assert _bits_equal(decode_values(encode_values(values), 3), values)
+
+
+@pytest.mark.parametrize(
+    "xor", [1, 1 << 63, 1 << 20, (1 << 63) | 1, (1 << 64) - 1]
+)
+def test_xor_meaningful_width_edges(xor):
+    # Widths 1 and 64, each followed by window reuse and a new window.
+    base = 0x4035000000000000
+    bits = [base, base ^ xor, base, base ^ xor ^ 1, base ^ (xor >> 1)]
+    values = [_from_bits(b) for b in bits]
+    assert _bits_equal(decode_values(encode_values(values), 5), values)
+
+
+def test_large_block_roundtrip():
+    rng = random.Random(65536)
+    count = 65_536
+    stamps = [1e9 + i * 0.1 for i in range(count)]
+    values = [
+        rng.choice((rng.gauss(20.0, 3.0), 21.5, math.nan, -0.0, 5e-324))
+        for _ in range(count)
+    ]
+    assert _bits_equal(decode_floats(encode_floats(stamps), count), stamps)
+    assert _bits_equal(decode_values(encode_values(values), count), values)
+    block = SealedBlock.seal(list(zip(stamps, values)))
+    timestamps, decoded = zip(*block.decode())
+    assert _bits_equal(timestamps, stamps)
+    assert _bits_equal(decoded, values)
 
 
 # -- summaries & blocks --------------------------------------------------------
@@ -145,6 +347,31 @@ def test_out_of_order_append_rejected():
     with pytest.raises(ValueError):
         series.append(4.0, 1.0)
     series.append(5.0, 2.0)  # equal timestamps are fine
+
+
+def _stats_fields(stats):
+    return {name: getattr(stats, name) for name in BlockStats.__slots__}
+
+
+@pytest.mark.parametrize("across_batches", [False, True])
+def test_out_of_order_batch_leaves_series_unchanged(across_batches):
+    stats = BlockStats()
+    series = TieredSeries(capacity=40, block_size=16, stats=stats)
+    series.append_many(walk(50))  # sealed blocks, a head and one eviction
+    before = (len(series), series.all_pairs(), series.tail(5))
+    counters = _stats_fields(stats)  # after the reads, which decode blocks
+    last = series.last_timestamp
+    if across_batches:
+        batch = [(last - 0.5, 1.0), (last + 1.0, 2.0)]
+        message = f"out-of-order point: {last - 0.5} after {last}"
+    else:
+        batch = [(last + 1.0, 1.0), (last + 3.0, 2.0), (last + 2.0, 3.0)]
+        message = f"out-of-order point: {last + 2.0} after {last + 3.0}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        series.append_many(batch)
+    assert _stats_fields(stats) == counters
+    assert (len(series), series.all_pairs(), series.tail(5)) == before
+    assert series.last_timestamp == last
 
 
 def test_capacity_eviction_is_point_exact():
