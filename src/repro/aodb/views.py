@@ -447,13 +447,10 @@ class ViewRegistry:
         if coalescer is None:
             from ..net.deltas import DeltaCoalescer
 
-            runtime = self.database.runtime
             coalescer = DeltaCoalescer(
-                runtime.scheduler,
+                self.database.runtime.scheduler,
                 self._make_send(silo_id),
                 source=silo_id,
-                max_delay=runtime.config.view_delta_max_delay,
-                max_keys=runtime.config.view_delta_max_keys,
             )
             self._coalescers[silo_id] = coalescer
         return coalescer
@@ -541,10 +538,7 @@ class ViewRegistry:
         registry.register_probe("views.pending_deltas", self.pending_deltas)
         registry.register_probe("views.deltas_emitted", self.deltas_emitted)
         registry.register_probe("views.flushes", self.flushes)
-        registry.register_probe(
-            "views.duplicate_flushes", lambda: self.duplicate_flushes
-        )
-        registry.register_probe(
-            "views.failed_flushes", lambda: self.failed_flushes
+        registry.register_fields(
+            "views", self, ("duplicate_flushes", "failed_flushes")
         )
         self._fold_seconds = registry.histogram("views.fold_seconds")

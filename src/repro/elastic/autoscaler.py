@@ -133,10 +133,7 @@ class Autoscaler:
         self._hot_streak = 0
         self._last_action_at = float("-inf")
         self._task: "Task | None" = None
-        runtime.metrics.register_probe("elastic.scale_ups", lambda: self.scale_ups)
-        runtime.metrics.register_probe(
-            "elastic.scale_downs", lambda: self.scale_downs
-        )
+        runtime.metrics.register_fields("elastic", self, ("scale_ups", "scale_downs"))
         runtime.metrics.register_probe(
             "elastic.pool_available", lambda: len(self.pool)
         )
@@ -265,7 +262,7 @@ class Autoscaler:
                 await scheduler.sleep(self.config.interval)
                 await self.run_cycle()
 
-        self._task = scheduler.spawn(loop(), name="autoscaler")
+        self._task = scheduler.spawn_deferred(loop, name="autoscaler")
         return self._task
 
     def detach(self) -> None:

@@ -92,12 +92,10 @@ class Rebalancer:
         self._streak = 0
         self._task: "Task | None" = None
         self.last_imbalance = 1.0
-        runtime.metrics.register_probe(
-            "elastic.rebalancer_cycles", lambda: self.cycles
-        )
-        runtime.metrics.register_probe(
-            "elastic.rebalancer_migrations", lambda: self.migrations
-        )
+        runtime.metrics.register_fields("elastic", self, (
+            ("rebalancer_cycles", "cycles"),
+            ("rebalancer_migrations", "migrations"),
+        ))
 
     # -- candidate selection ----------------------------------------------------
 
@@ -211,7 +209,7 @@ class Rebalancer:
                 await scheduler.sleep(self.config.interval)
                 await self.run_cycle()
 
-        self._task = scheduler.spawn(loop(), name="rebalancer")
+        self._task = scheduler.spawn_deferred(loop, name="rebalancer")
         return self._task
 
     def detach(self) -> None:

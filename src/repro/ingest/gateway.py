@@ -40,6 +40,12 @@ class GatewayOverloadedError(PlatformError):
 class GatewayStats:
     """Operational counters for the gateway."""
 
+    #: The counters exported as ``ingest.<name>`` probes.
+    METRIC_FIELDS = (
+        "accepted", "rejected", "dropped", "dispatched", "coalesced",
+        "parse_errors", "shed", "throttled", "redispatched",
+    )
+
     accepted: int = 0
     rejected: int = 0
     dropped: int = 0
@@ -108,14 +114,7 @@ class IngestGateway:
         registry = getattr(self.platform.runtime, "metrics", None)
         if registry is None:
             return
-        stats = self.stats
-        for name in (
-            "accepted", "rejected", "dropped", "dispatched", "coalesced",
-            "parse_errors", "shed", "throttled", "redispatched",
-        ):
-            registry.register_probe(
-                f"ingest.{name}", lambda n=name: getattr(stats, n)
-            )
+        registry.register_fields("ingest", self.stats, self.stats.METRIC_FIELDS)
         registry.register_probe("ingest.queue_depth", lambda: len(self._queue))
 
     # -- lifecycle -----------------------------------------------------------
@@ -126,7 +125,9 @@ class IngestGateway:
             return
         self._stopping = False
         self._dispatchers = [
-            self._scheduler.spawn(self._dispatch_loop(), name=f"ingest-dispatch-{i}")
+            self._scheduler.spawn_deferred(
+                self._dispatch_loop, name=f"ingest-dispatch-{i}"
+            )
             for i in range(self._dispatcher_count)
         ]
 

@@ -178,6 +178,34 @@ class TimerHandle:
         return f"<TimerHandle when={self.when} seq={self.seq} {state}>"
 
 
+class _DeferredCoroutine:
+    """A coroutine built on its first step (see :meth:`Scheduler.spawn_deferred`).
+
+    Until the first ``send`` there is no coroutine object at all, so a task
+    abandoned before it ever ran leaves nothing behind for garbage
+    collection to report as "never awaited".
+    """
+
+    __slots__ = ("_factory", "_coro")
+
+    def __init__(self, factory: Callable[[], Coroutine[Any, Any, Any]]) -> None:
+        self._factory = factory
+        self._coro: Coroutine[Any, Any, Any] | None = None
+
+    def send(self, value: Any) -> Any:
+        if self._coro is None:
+            self._coro = self._factory()
+        return self._coro.send(value)
+
+    def throw(self, exc: BaseException) -> Any:
+        # A task throws into its coroutine only after a first send.
+        return self._coro.throw(exc)
+
+    def close(self) -> None:
+        if self._coro is not None:
+            self._coro.close()
+
+
 class Task:
     """A scheduled coroutine.
 
@@ -526,6 +554,18 @@ class Scheduler:
         self._sequence = seq = self._sequence + 1
         self._ready.append((self._now, seq, Task._step, task))
         return task
+
+    def spawn_deferred(
+        self, factory: Callable[[], Coroutine[Any, Any, Any]], name: str
+    ) -> Task:
+        """Like :meth:`spawn`, but call ``factory`` for the coroutine only at
+        the task's first step.
+
+        For background services (heartbeats, pumps, collectors) whose owner
+        may be dropped before the loop runs: a deferred task that never
+        steps never created a coroutine, so it needs no closing.
+        """
+        return self.spawn(_DeferredCoroutine(factory), name=name)
 
     def sleep(self, delay: float) -> Future[None]:
         """Return a future resolving ``delay`` virtual seconds from now.

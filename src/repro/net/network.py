@@ -28,6 +28,15 @@ from .latency import ConstantLatency, LatencyModel, ZERO_LATENCY
 class NetworkStats:
     """Counters the benchmarks read after a run."""
 
+    #: Exported as ``net.<name>`` probes by the runtime that owns the network;
+    #: a (metric, attribute) pair renames one on the way out.
+    METRIC_FIELDS = (
+        "messages", "remote_messages", "loopback_messages", "lost_messages",
+        "duplicated_messages", "partitioned_messages",
+        ("total_latency_seconds", "total_latency"),
+        "envelopes", "batched_messages", "largest_envelope",
+    )
+
     messages: int = 0
     loopback_messages: int = 0
     remote_messages: int = 0
@@ -239,29 +248,3 @@ class Network:
         if delay > 0:
             await self._scheduler.sleep(delay)
         return delay
-
-    def register_metrics(self, registry: "object") -> None:
-        """Export the network counters as pull-probes on ``registry``.
-
-        Typed loosely to avoid importing :mod:`repro.obs` here (the net
-        layer sits below the observability package in the import graph).
-        """
-        stats = self.stats
-        registry.register_probe("net.messages", lambda: stats.messages)
-        registry.register_probe("net.remote_messages", lambda: stats.remote_messages)
-        registry.register_probe(
-            "net.loopback_messages", lambda: stats.loopback_messages
-        )
-        registry.register_probe("net.lost_messages", lambda: stats.lost_messages)
-        registry.register_probe(
-            "net.duplicated_messages", lambda: stats.duplicated_messages
-        )
-        registry.register_probe(
-            "net.partitioned_messages", lambda: stats.partitioned_messages
-        )
-        registry.register_probe(
-            "net.total_latency_seconds", lambda: stats.total_latency
-        )
-        registry.register_probe("net.envelopes", lambda: stats.envelopes)
-        registry.register_probe("net.batched_messages", lambda: stats.batched_messages)
-        registry.register_probe("net.largest_envelope", lambda: stats.largest_envelope)

@@ -150,7 +150,7 @@ class HealthMonitor:
         self._task: "Task | None" = None
         registry.register_probe("health.active_alerts", lambda: len(self.active()))
         registry.register_probe("health.alerts_emitted", self._alerts_emitted)
-        registry.register_probe("health.evaluations", lambda: self.evaluations)
+        registry.register_fields("health", self, ("evaluations",))
 
     def _alerts_emitted(self) -> int:
         return len(self.alerts) + self.alerts_dropped
@@ -261,7 +261,7 @@ class HealthMonitor:
                 await scheduler.sleep(interval)
                 self.evaluate(scheduler.now)
 
-        self._task = scheduler.spawn(loop(), name="health-monitor")
+        self._task = scheduler.spawn_deferred(loop, name="health-monitor")
         return self._task
 
     def detach(self) -> None:

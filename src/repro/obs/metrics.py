@@ -11,6 +11,9 @@ module is that substrate for our runtime.  Design constraints:
   utilization, RCU/WCU totals, queue backlog) already exist as state
   somewhere; a *probe* is a zero-cost registration of a callable that is
   only evaluated at snapshot time, so steady-state running pays nothing.
+  A layer's counters are exported declaratively: the layer keeps a tuple
+  of their names next to them and whoever builds it hands that tuple to
+  :meth:`MetricsRegistry.register_fields`, so no layer imports this module.
 - **Label-aware.**  Metrics carry labels (``silo="silo-0"``), so snapshots
   can be taken per silo or aggregated cluster-wide.
 """
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Iterable
 
 DEFAULT_BUCKETS = (
@@ -239,6 +244,27 @@ class MetricsRegistry:
     ) -> None:
         """Register a callable evaluated (only) at snapshot time."""
         self._probes[(name, _label_key(labels))] = probe
+
+    def register_fields(
+        self,
+        prefix: str,
+        obj: object,
+        names: Iterable[str | tuple[str, str]],
+        **labels: str,
+    ) -> None:
+        """Register attributes (or properties) of ``obj`` as probes.
+
+        Each entry of ``names`` exports ``obj.<name>`` as ``prefix.<name>``;
+        a ``(metric, attribute)`` pair exports ``obj.<attribute>`` (a dotted
+        path is followed) under ``prefix.<metric>``.  Like every probe, the
+        attribute is read only at snapshot time.
+        """
+        key = _label_key(labels)
+        for name in names:
+            metric, attribute = (name, name) if isinstance(name, str) else name
+            self._probes[(f"{prefix}.{metric}", key)] = partial(
+                attrgetter(attribute), obj
+            )
 
     def unregister_probes(self, **labels: str) -> int:
         """Drop every probe carrying all given labels (e.g. a dead silo's)."""

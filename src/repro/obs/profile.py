@@ -92,6 +92,11 @@ class Profiler:
     :meth:`hot_activations` and :meth:`coverage`.
     """
 
+    #: Counters the owning runtime exports as ``profile.<name>`` probes
+    #: (beside ``profile.attributed_cpu_seconds``, read through
+    #: :meth:`attributed_cpu`).
+    METRIC_FIELDS = ("turns", "method_overflow", "activation_overflow")
+
     def __init__(
         self,
         enabled: bool = False,
@@ -191,19 +196,6 @@ class Profiler:
         self.turns = 0
         self.method_overflow = 0
         self.activation_overflow = 0
-
-    def register_metrics(self, registry) -> None:
-        """Export profiler state as pull-probes (snapshot-time only)."""
-        registry.register_probe("profile.turns", lambda: self.turns)
-        registry.register_probe(
-            "profile.attributed_cpu_seconds", self.attributed_cpu
-        )
-        registry.register_probe(
-            "profile.method_overflow", lambda: self.method_overflow
-        )
-        registry.register_probe(
-            "profile.activation_overflow", lambda: self.activation_overflow
-        )
 
 
 def mailbox_backlogs(

@@ -33,9 +33,11 @@ cheap enough to leave on forever:
    :func:`render_postmortem`).
 
 Lower layers never import this module: each hook site carries a duck-typed
-``journal`` attribute defaulting to ``None`` (the same loose-typing rule
-``Network.register_metrics`` follows), so the kernel stays free of obs
-dependencies and the disabled path is a single attribute check.
+``journal`` attribute defaulting to ``None`` (the rule the metrics seam
+follows too: layers keep plain ``METRIC_FIELDS`` name tuples, and the
+runtime hands them to ``MetricsRegistry.register_fields``), so the kernel
+stays free of obs dependencies and the disabled path is a single attribute
+check.
 
 Everything is deterministic: reservoir sampling uses a seeded LCG, the
 baseline sample is counter-based, and timeline assembly sorts stably by
@@ -605,17 +607,14 @@ class FlightRecorder:
         if registry is not None:
             tracer = runtime.tracer
             if tracer is not None:
-                registry.register_probe(
-                    "trace.dropped_spans", lambda: tracer.dropped
+                registry.register_fields(
+                    "trace", tracer, (("dropped_spans", "dropped"),)
                 )
             registry.register_probe(
                 "trace.retained_traces", lambda: len(self._retained)
             )
-            registry.register_probe(
-                "recorder.downsampled_traces", lambda: self.downsampled_traces
-            )
-            registry.register_probe(
-                "recorder.retained_evicted", lambda: self.retained_evicted
+            registry.register_fields(
+                "recorder", self, ("downsampled_traces", "retained_evicted")
             )
             registry.register_probe(
                 "recorder.postmortems", lambda: len(self.postmortems)

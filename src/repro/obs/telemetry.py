@@ -317,9 +317,8 @@ class TelemetryPump:
         """Register the telemetry actor classes (idempotent)."""
         for actor_class in TELEMETRY_ACTOR_CLASSES:
             self.runtime.register_actor(actor_class)
-        self.runtime.metrics.register_probe("telemetry.ticks", lambda: self.ticks)
-        self.runtime.metrics.register_probe(
-            "telemetry.tick_errors", lambda: self.tick_errors
+        self.runtime.metrics.register_fields(
+            "telemetry", self, ("ticks", "tick_errors")
         )
 
     def start(self) -> "Task":
@@ -330,8 +329,8 @@ class TelemetryPump:
         if self.monitor is not None:
             self.monitor.listeners.append(self._on_alert)
         self._stopped = False
-        self._task = self.runtime.scheduler.spawn(
-            self._loop(), name="telemetry-pump"
+        self._task = self.runtime.scheduler.spawn_deferred(
+            self._loop, name="telemetry-pump"
         )
         return self._task
 

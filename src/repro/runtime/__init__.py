@@ -27,7 +27,6 @@ from .resilience import (
     DEFAULT_RETRY_POLICY,
     NO_RETRY,
     CircuitBreaker,
-    ResilienceStats,
     RetryPolicy,
 )
 from .runtime import CLIENT_ENDPOINT, AodbRuntime, RuntimeStats
@@ -54,7 +53,6 @@ __all__ = [
     "PowerOfTwoPlacement",
     "PreferLocalPlacement",
     "RandomPlacement",
-    "ResilienceStats",
     "RetryPolicy",
     "RuntimeConfig",
     "RuntimeStats",

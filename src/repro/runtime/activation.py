@@ -57,12 +57,11 @@ class Activation:
         context = ActorContext(runtime, key, silo.silo_id)
         context.activation = self  # type: ignore[attr-defined]
         self.instance = actor_class(context)
-        capacity = (
-            actor_class.mailbox_capacity
-            if actor_class.mailbox_capacity is not None
-            else runtime.config.mailbox_capacity
+        # Mailbox capacity (None/0 = unbounded): a bounded mailbox surfaces
+        # overload as MailboxOverflowError instead of hiding it.
+        self.mailbox: Queue[Any] = Queue(
+            runtime.scheduler, maxsize=actor_class.mailbox_capacity or 0
         )
-        self.mailbox: Queue[Any] = Queue(runtime.scheduler, maxsize=capacity)
         self.closing = False
         self.closed = Event(runtime.scheduler)
         self.broken: BaseException | None = None

@@ -21,7 +21,7 @@ and all clocks are the virtual scheduler clock.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import DeadlineExceededError, SiloUnavailableError, ThrottledError
 from ..kernel.scheduler import Scheduler
@@ -165,13 +165,3 @@ class CircuitBreaker:
             self._opened_at = self._scheduler.now
             self.opens += 1
 
-
-@dataclass
-class ResilienceStats:
-    """Counters for one retry/deadline-aware call site (e.g. the chaos bench)."""
-
-    attempts: int = 0
-    retries: int = 0
-    deadline_failures: int = 0
-    exhausted: int = 0
-    errors_by_type: dict[str, int] = field(default_factory=dict)

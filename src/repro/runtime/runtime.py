@@ -17,6 +17,7 @@ The public surface an application touches is small::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterable
 
 import math
@@ -72,6 +73,10 @@ SYSTEM_STORE_ENDPOINT = "system-store"
 #: Placeholder target for envelopes parked in the invocation freelist; a
 #: recycled envelope must hold no reference to any real actor key.
 _POOL_KEY = ActorKey("__pool__", "__pool__")
+#: Freelist bound: a burst beyond it falls back to the allocator.
+_INVOCATION_POOL_CAPACITY = 4096
+#: Placement strategy for actor types that do not choose one.
+_DEFAULT_PLACEMENT = "random"
 
 
 def _new_invocation() -> Invocation:
@@ -100,6 +105,17 @@ def _reset_invocation(invocation: Invocation) -> None:
 @dataclass
 class RuntimeStats:
     """Counters accumulated across the life of the runtime."""
+
+    #: The counters exported as ``runtime.<name>`` probes.
+    METRIC_FIELDS = (
+        "asks", "tells", "replies", "errors", "dropped_messages",
+        "activations_created", "activations_collected",
+        "activations_crashed", "activation_failures",
+        "reminders_delivered", "calls_retried", "deadlines_exceeded",
+        "silos_suspected", "silos_evicted", "activations_replaced",
+        "silos_quarantined", "silos_rejoined",
+        "migrations", "migration_failures", "silos_drained",
+    )
 
     asks: int = 0
     tells: int = 0
@@ -174,7 +190,6 @@ class AodbRuntime:
             self.group_commit = GroupCommitWriter(
                 self.grain_storage,
                 self.scheduler,
-                max_batch=self.config.group_commit_max_batch,
                 max_delay=self.config.group_commit_max_delay,
             )
         self.directory = GrainDirectory()
@@ -191,7 +206,6 @@ class AodbRuntime:
             self._batcher = EnvelopeBatcher(
                 self.network,
                 self.scheduler,
-                max_size=self.config.batch_max_size,
                 max_delay=self.config.batch_max_delay,
             )
         self.strategies = build_strategies(
@@ -207,7 +221,7 @@ class AodbRuntime:
         self._invocation_pool: FreeList[Invocation] = FreeList(
             _new_invocation,
             _reset_invocation,
-            capacity=self.config.invocation_pool_capacity,
+            capacity=_INVOCATION_POOL_CAPACITY,
         )
         self._actor_types: dict[str, type[Actor]] = {}
         self._silos: dict[str, Silo] = {}
@@ -228,23 +242,7 @@ class AodbRuntime:
         # actors open feeds these, exported as storage.* probes below.
         self.tsblock_stats = BlockStats()
         self.network.register(CLIENT_ENDPOINT)
-        self.network.register_metrics(self.metrics)
-        # Provisioned stores export RCU/WCU/throttling probes; the plain
-        # in-memory store has nothing to report.
-        register = getattr(self.grain_storage, "register_metrics", None)
-        if register is not None:
-            register(self.metrics)
-        else:
-            # Stores with their own register_metrics export this themselves;
-            # plain stores still need the split-brain rejection counter.
-            self.metrics.register_probe(
-                "storage.fenced_writes",
-                lambda: getattr(self.grain_storage, "fenced_writes", 0),
-            )
-        if self.group_commit is not None:
-            self.group_commit.register_metrics(self.metrics)
         self._register_runtime_metrics()
-        self.profiler.register_metrics(self.metrics)
         if self.config.redo_lag > 0:
             self.enable_redo_journal()
         # End-to-end ask latency feeds the p99 SLO rule; observed only on
@@ -252,67 +250,47 @@ class AodbRuntime:
         self._ask_latency = self.metrics.histogram("runtime.ask_latency_seconds")
 
     def _register_runtime_metrics(self) -> None:
-        """Export kernel + runtime state as pull-probes (snapshot-time only)."""
+        """Export every layer's state as pull-probes (snapshot-time only).
+
+        Each layer names its exported counters in a ``METRIC_FIELDS`` tuple
+        beside them; the probes that compute a value are registered here.
+        """
         registry = self.metrics
-        scheduler = self.scheduler
-        stats = self.stats
-        registry.register_probe(
-            "kernel.pending_events", lambda: scheduler.pending_events
-        )
-        registry.register_probe(
-            "kernel.events_processed", lambda: scheduler.events_processed
-        )
-        registry.register_probe("kernel.virtual_time", lambda: scheduler.now)
+        fields = registry.register_fields
+        net = self.network.stats
+        fields("net", net, net.METRIC_FIELDS)
+        # The plain store exports its split-brain rejection counter; a
+        # provisioned store adds its RCU/WCU/throttling counters.
+        fields("storage", self.grain_storage, self.grain_storage.METRIC_FIELDS)
+        if self.group_commit is not None:
+            fields("groupcommit", self.group_commit, self.group_commit.METRIC_FIELDS)
         # Timer-subsystem shape: wheel occupancy vs. the near-term heap tells
         # whether the NEAR_HORIZON split is doing its job, and cancel counts
         # expose the timer-leak class of bug the heap once had.
-        registry.register_probe(
-            "kernel.timer_wheel_occupancy", lambda: scheduler._wheel.live
-        )
-        registry.register_probe(
-            "kernel.timer_wheel_cancelled", lambda: scheduler._wheel.cancelled
-        )
-        registry.register_probe(
-            "kernel.timer_near_heap_depth", lambda: scheduler.near_heap_depth
-        )
-        registry.register_probe(
-            "kernel.timer_cancels", lambda: scheduler.timer_cancels
-        )
+        fields("kernel", self.scheduler, (
+            "pending_events", "events_processed", ("virtual_time", "now"),
+            ("timer_wheel_occupancy", "_wheel.live"),
+            ("timer_wheel_cancelled", "_wheel.cancelled"),
+            ("timer_near_heap_depth", "near_heap_depth"), "timer_cancels",
+        ))
         pool = self._invocation_pool
-        registry.register_probe("pool.invocation_hits", lambda: pool.hits)
-        registry.register_probe("pool.invocation_misses", lambda: pool.misses)
+        fields("pool", pool, (
+            ("invocation_hits", "hits"), ("invocation_misses", "misses"),
+        ))
         registry.register_probe(
             "pool.invocation_hit_rate", lambda: pool.stats()["hit_rate"]
         )
         registry.register_probe("pool.invocation_size", lambda: len(pool))
-        for name in (
-            "asks", "tells", "replies", "errors", "dropped_messages",
-            "activations_created", "activations_collected",
-            "activations_crashed", "activation_failures",
-            "reminders_delivered", "calls_retried", "deadlines_exceeded",
-            "silos_suspected", "silos_evicted", "activations_replaced",
-            "silos_quarantined", "silos_rejoined",
-            "migrations", "migration_failures", "silos_drained",
-        ):
-            registry.register_probe(
-                f"runtime.{name}", lambda n=name: getattr(stats, n)
-            )
-        registry.register_probe(
-            "runtime.total_activations", lambda: self.total_activations()
-        )
+        fields("runtime", self.stats, self.stats.METRIC_FIELDS)
+        registry.register_probe("runtime.total_activations", self.total_activations)
         registry.register_probe(
             "trace.spans_recorded", lambda: len(self.tracer)
         )
-        registry.register_probe("trace.spans_dropped", lambda: self.tracer.dropped)
-        registry.register_probe(
-            "metrics.dropped_label_sets", lambda: registry.dropped_label_sets
-        )
+        fields("trace", self, (("spans_dropped", "tracer.dropped"),))
+        fields("metrics", registry, ("dropped_label_sets",))
         if self._batcher is not None:
             batcher = self._batcher
-            registry.register_probe("batch.flushes", lambda: batcher.flushes)
-            registry.register_probe(
-                "batch.immediate_flushes", lambda: batcher.immediate_flushes
-            )
+            fields("batch", batcher, ("flushes", "immediate_flushes"))
             # Coalescing effectiveness: how many messages shared each envelope.
             batcher.cohort_histogram = registry.histogram(
                 "batch.cohort_size", boundaries=(1, 2, 4, 8, 16, 32, 64)
@@ -353,11 +331,14 @@ class AodbRuntime:
             "cluster.quarantined_silos",
             lambda: sum(1 for s in self._silos.values() if s.quarantined),
         )
-        registry.register_probe(
-            "cluster.membership_epoch", lambda: self.system_store.epoch
-        )
+        fields("cluster", self, (("membership_epoch", "system_store.epoch"),))
         registry.register_probe("cluster.cpu_imbalance", self.cpu_imbalance)
-        self.tsblock_stats.register_metrics(registry)
+        fields("storage", self.tsblock_stats, self.tsblock_stats.METRIC_FIELDS)
+        profiler = self.profiler
+        fields("profile", profiler, profiler.METRIC_FIELDS)
+        registry.register_probe(
+            "profile.attributed_cpu_seconds", profiler.attributed_cpu
+        )
 
     def cpu_imbalance(self) -> float:
         """Max/min silo CPU utilization ratio (1.0 = perfectly balanced).
@@ -430,18 +411,16 @@ class AodbRuntime:
         self._silos[silo_id] = silo
         self.network.register(silo_id)
         self.system_store.announce(silo_id, instance_type=instance_type)
-        self._heartbeats[silo_id] = self.scheduler.spawn(
-            self._heartbeat_loop(silo_id), name=f"heartbeat:{silo_id}"
+        self._heartbeats[silo_id] = self.scheduler.spawn_deferred(
+            partial(self._heartbeat_loop, silo_id), name=f"heartbeat:{silo_id}"
         )
-        if self.redo_journal is not None and silo_id not in self._redo_pumps:
-            self._redo_pumps[silo_id] = self.scheduler.spawn(
-                self._redo_pump(silo_id), name=f"redo-pump:{silo_id}"
-            )
+        if self.redo_journal is not None:
+            self._start_redo_pump(silo_id)
         self.metrics.register_probe(
             "silo.mailbox_depth", silo.mailbox_backlog, silo=silo_id
         )
-        self.metrics.register_probe(
-            "silo.activations", lambda: silo.activation_count, silo=silo_id
+        self.metrics.register_fields(
+            "silo", silo, (("activations", "activation_count"),), silo=silo_id
         )
         self.metrics.register_probe(
             "silo.cpu_utilization", silo.cpu.utilization, silo=silo_id
@@ -720,15 +699,20 @@ class AodbRuntime:
                 store=self.grain_storage,
                 writer=self.group_commit,
             )
-            self.redo_journal.register_metrics(self.metrics)
+            journal = self.redo_journal
+            self.metrics.register_fields("wal", journal, journal.METRIC_FIELDS)
+            self.metrics.register_probe("wal.pending_records", journal.pending_records)
             if self.recorder is not None:
                 self.redo_journal.journal = self.recorder.journal("storage")
         for silo_id in self._silos:
-            if silo_id not in self._redo_pumps:
-                self._redo_pumps[silo_id] = self.scheduler.spawn(
-                    self._redo_pump(silo_id), name=f"redo-pump:{silo_id}"
-                )
+            self._start_redo_pump(silo_id)
         return self.redo_journal
+
+    def _start_redo_pump(self, silo_id: str) -> None:
+        if silo_id not in self._redo_pumps:
+            self._redo_pumps[silo_id] = self.scheduler.spawn_deferred(
+                partial(self._redo_pump, silo_id), name=f"redo-pump:{silo_id}"
+            )
 
     def _cancel_redo_pump(self, silo_id: str) -> None:
         pump = self._redo_pumps.pop(silo_id, None)
@@ -1301,7 +1285,7 @@ class AodbRuntime:
                     silo.remove_activation(key)
                     predecessor = activation
         actor_class = self.actor_type(key.type_name)
-        strategy_name = actor_class.placement or self.config.default_placement
+        strategy_name = actor_class.placement or _DEFAULT_PLACEMENT
         strategy = self.strategies.get(strategy_name)
         if strategy is None:
             raise ValueError(
@@ -1552,16 +1536,16 @@ class AodbRuntime:
     def start(self) -> None:
         """Start background services (collector, reminders, failure detector)."""
         if self._collector_task is None:
-            self._collector_task = self.scheduler.spawn(
-                self._collector_loop(), name="idle-collector"
+            self._collector_task = self.scheduler.spawn_deferred(
+                self._collector_loop, name="idle-collector"
             )
         if self._reminder_task is None:
-            self._reminder_task = self.scheduler.spawn(
-                self._reminder_loop(), name="reminder-pump"
+            self._reminder_task = self.scheduler.spawn_deferred(
+                self._reminder_loop, name="reminder-pump"
             )
         if self._failure_detector_task is None and self.config.enable_failure_detection:
-            self._failure_detector_task = self.scheduler.spawn(
-                self._failure_detector_loop(), name="failure-detector"
+            self._failure_detector_task = self.scheduler.spawn_deferred(
+                self._failure_detector_loop, name="failure-detector"
             )
 
     async def stop(self) -> None:
@@ -1612,9 +1596,9 @@ class AodbRuntime:
 
         Silos whose lease has been lapsed for longer than
         ``config.suspicion_grace`` are declared dead: their membership row
-        is retired, their directory registrations purged, and (when
-        ``config.proactive_reactivation`` is on) their actors re-placed on
-        surviving silos ahead of demand, recovering persisted state.
+        is retired, their directory registrations purged, and their actors
+        re-placed on surviving silos ahead of demand, recovering persisted
+        state.
         Returns the ids of the silos evicted by this pass.
 
         Eviction is a *view change*, and two safeguards keep it from being
@@ -1723,7 +1707,7 @@ class AodbRuntime:
                     "at": self.scheduler.now,
                 },
             )
-        if not (self.config.proactive_reactivation and self._silos):
+        if not self._silos:
             return
         for key in registered:
             try:

@@ -34,6 +34,13 @@ WRITE_UNIT_BYTES = 1024
 class ProvisionedKVStore(KeyValueStore):
     """A latency- and capacity-modeled wrapper over an in-memory store."""
 
+    #: The capacity counters join ``fenced_writes`` as ``storage.*`` probes.
+    METRIC_FIELDS = (
+        "rcu_consumed", "wcu_consumed", "throttled_reads", "throttled_writes",
+        "throttle_stall_seconds", "reads", "writes", "write_batches",
+        "batched_round_trips_saved", "fenced_writes",
+    )
+
     def __init__(
         self,
         scheduler: Scheduler,
@@ -205,44 +212,6 @@ class ProvisionedKVStore(KeyValueStore):
         return rows
 
     # -- introspection -----------------------------------------------------------
-
-    def register_metrics(self, registry: "object", **labels: str) -> None:
-        """Export capacity counters as pull-probes on ``registry``.
-
-        Loosely typed to keep the storage layer free of an
-        :mod:`repro.obs` import; ``labels`` distinguishes multiple stores
-        (e.g. ``store="grain"``).
-        """
-        registry.register_probe(
-            "storage.rcu_consumed", lambda: self.rcu_consumed, **labels
-        )
-        registry.register_probe(
-            "storage.wcu_consumed", lambda: self.wcu_consumed, **labels
-        )
-        registry.register_probe(
-            "storage.throttled_reads", lambda: self.throttled_reads, **labels
-        )
-        registry.register_probe(
-            "storage.throttled_writes", lambda: self.throttled_writes, **labels
-        )
-        registry.register_probe(
-            "storage.throttle_stall_seconds",
-            lambda: self.throttle_stall_seconds,
-            **labels,
-        )
-        registry.register_probe("storage.reads", lambda: self.reads, **labels)
-        registry.register_probe("storage.writes", lambda: self.writes, **labels)
-        registry.register_probe(
-            "storage.write_batches", lambda: self.write_batches, **labels
-        )
-        registry.register_probe(
-            "storage.batched_round_trips_saved",
-            lambda: self.batched_round_trips_saved,
-            **labels,
-        )
-        registry.register_probe(
-            "storage.fenced_writes", lambda: self.fenced_writes, **labels
-        )
 
     @property
     def reads(self) -> int:

@@ -27,6 +27,11 @@ from .kv import KeyValueStore
 class GroupCommitWriter:
     """Coalesces puts issued within a window into one ``put_many`` batch."""
 
+    #: Counters the owning runtime exports as ``groupcommit.<name>`` probes.
+    METRIC_FIELDS = (
+        "batches", "batched_writes", "largest_batch", "round_trips_saved",
+    )
+
     def __init__(
         self,
         store: KeyValueStore,
@@ -123,16 +128,3 @@ class GroupCommitWriter:
                 ticket.set_exception(result)
             else:
                 ticket.set_result(result)
-
-    def register_metrics(self, registry: "object") -> None:
-        """Export group-commit counters as pull-probes on ``registry``."""
-        registry.register_probe("groupcommit.batches", lambda: self.batches)
-        registry.register_probe(
-            "groupcommit.batched_writes", lambda: self.batched_writes
-        )
-        registry.register_probe(
-            "groupcommit.largest_batch", lambda: self.largest_batch
-        )
-        registry.register_probe(
-            "groupcommit.round_trips_saved", lambda: self.round_trips_saved
-        )

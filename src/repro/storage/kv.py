@@ -94,6 +94,8 @@ class KeyValueStore:
     # the fence, then delegates to whatever ``put`` the subclass provides.
 
     fenced_writes = 0  # stale writes rejected; shadowed per instance on first use
+    #: Counters the owning runtime exports as ``storage.<name>`` probes.
+    METRIC_FIELDS: tuple[str, ...] = ("fenced_writes",)
     #: Optional flight-recorder ring (duck-typed — see repro.obs.recorder;
     #: storage never imports obs).  Fence bounces are recorded.
     journal = None

@@ -376,6 +376,11 @@ class BlockStats:
         "blocks_skipped", "blocks_considered", "summary_answers",
         "block_bytes", "sealed_points", "head_points",
     )
+    METRIC_FIELDS = (
+        "block_bytes", "head_bytes", "blocks_sealed", "blocks_evicted",
+        "blocks_decoded", "compression_ratio", "block_skip_rate",
+        "summary_answers",
+    )
 
     def __init__(self) -> None:
         self.blocks_sealed = 0
@@ -406,27 +411,6 @@ class BlockStats:
         if self.blocks_considered == 0:
             return 0.0
         return self.blocks_skipped / self.blocks_considered
-
-    def register_metrics(self, registry) -> None:
-        """Export the tsblocks probes on a metrics registry."""
-        registry.register_probe("storage.block_bytes", lambda: self.block_bytes)
-        registry.register_probe("storage.head_bytes", lambda: self.head_bytes)
-        registry.register_probe("storage.blocks_sealed", lambda: self.blocks_sealed)
-        registry.register_probe(
-            "storage.blocks_evicted", lambda: self.blocks_evicted
-        )
-        registry.register_probe(
-            "storage.blocks_decoded", lambda: self.blocks_decoded
-        )
-        registry.register_probe(
-            "storage.compression_ratio", lambda: self.compression_ratio
-        )
-        registry.register_probe(
-            "storage.block_skip_rate", lambda: self.block_skip_rate
-        )
-        registry.register_probe(
-            "storage.summary_answers", lambda: self.summary_answers
-        )
 
 
 # -- the tiered engine ---------------------------------------------------------

@@ -57,6 +57,12 @@ class RedoRecord:
 class RedoJournal:
     """An append-only redo log indexed by grain storage key."""
 
+    #: Counters the owning runtime exports as ``wal.<name>`` probes (beside
+    #: ``wal.pending_records``, read through :meth:`pending_records`).
+    METRIC_FIELDS = (
+        "appends", "skipped_appends", "replayed_records", "truncated_records",
+    )
+
     def __init__(
         self,
         scheduler: "Scheduler",
@@ -179,15 +185,3 @@ class RedoJournal:
         if key is not None:
             return len(self._records.get(key, ()))
         return sum(len(records) for records in self._records.values())
-
-    def register_metrics(self, registry: "object") -> None:
-        """Export journal counters as pull-probes on ``registry``."""
-        registry.register_probe("wal.appends", lambda: self.appends)
-        registry.register_probe("wal.skipped_appends", lambda: self.skipped_appends)
-        registry.register_probe(
-            "wal.replayed_records", lambda: self.replayed_records
-        )
-        registry.register_probe(
-            "wal.truncated_records", lambda: self.truncated_records
-        )
-        registry.register_probe("wal.pending_records", self.pending_records)

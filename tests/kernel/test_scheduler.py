@@ -94,6 +94,41 @@ def test_task_cancel_before_start():
     assert ran == []
 
 
+def test_spawn_deferred_builds_the_coroutine_at_first_step():
+    sched = Scheduler()
+    built = []
+
+    async def service(step):
+        await sched.sleep(step)
+        return sched.now
+
+    def factory():
+        built.append(sched.now)
+        return service(2.0)
+
+    async def main():
+        task = sched.spawn_deferred(factory, name="service")
+        assert built == []  # nothing built until the scheduler steps it
+        return await task
+
+    assert sched.run_until_complete(main()) == 2.0
+    assert built == [0.0]
+
+
+def test_spawn_deferred_cancelled_before_start_never_builds():
+    sched = Scheduler()
+    built = []
+
+    async def main():
+        task = sched.spawn_deferred(lambda: built.append(1), name="service")
+        task.cancel()
+        await sched.sleep(1)
+        return task.future.cancelled()
+
+    assert sched.run_until_complete(main()) is True
+    assert built == []
+
+
 def test_task_cancel_while_sleeping():
     sched = Scheduler()
     cleaned_up = []

@@ -98,6 +98,68 @@ def test_unregister_probes_by_label():
     assert set(registry.snapshot()) == {"depth{silo=s2}"}
 
 
+class _Layer:
+    """A stand-in layer: plain counters, a property and a nested object."""
+
+    def __init__(self):
+        self.hits = 0
+        self.misses = 0
+        self.inner = _Inner()
+
+    @property
+    def hit_rate(self):
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+
+class _Inner:
+    def __init__(self):
+        self.live = 0
+
+
+@pytest.mark.parametrize(
+    "names, labels, expected",
+    [
+        (("hits", "misses"), {}, {"layer.hits": 3, "layer.misses": 1}),
+        (("hit_rate",), {}, {"layer.hit_rate": 0.75}),
+        ((("lookups_hit", "hits"),), {}, {"layer.lookups_hit": 3}),
+        ((("occupancy", "inner.live"),), {}, {"layer.occupancy": 7}),
+        (("hits",), {"silo": "s1"}, {"layer.hits{silo=s1}": 3}),
+        (
+            ("hits", ("rate", "hit_rate")),
+            {"silo": "s1", "az": "a"},
+            {"layer.hits{az=a,silo=s1}": 3, "layer.rate{az=a,silo=s1}": 0.75},
+        ),
+    ],
+)
+def test_register_fields_reads_attributes_at_snapshot_time(names, labels, expected):
+    registry = MetricsRegistry()
+    layer = _Layer()
+    registry.register_fields("layer", layer, names, **labels)
+    # Registration reads nothing: the values below are set afterwards.
+    layer.hits, layer.misses, layer.inner.live = 3, 1, 7
+    assert registry.snapshot() == expected
+
+
+def test_register_fields_follows_rebinding_and_reports_missing_as_nan():
+    registry = MetricsRegistry()
+    layer = _Layer()
+    registry.register_fields("layer", layer, (("live", "inner.live"), "absent"))
+    layer.inner = _Inner()
+    layer.inner.live = 5
+    snapshot = registry.snapshot()
+    assert snapshot["layer.live"] == 5
+    assert math.isnan(snapshot["layer.absent"])
+
+
+def test_register_fields_probes_unregister_by_label():
+    registry = MetricsRegistry()
+    registry.register_fields("layer", _Layer(), ("hits", "misses"), silo="s1")
+    registry.register_fields("layer", _Layer(), ("hits",), silo="s2")
+    assert registry.unregister_probes(silo="s1") == 2
+    assert set(registry.snapshot()) == {"layer.hits{silo=s2}"}
+
+
 def test_snapshot_selector_filters_by_labels():
     registry = MetricsRegistry()
     registry.counter("asks", silo="s1").inc(1)

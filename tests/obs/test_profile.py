@@ -3,13 +3,13 @@
 import pytest
 
 from repro.kernel.scheduler import Scheduler
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     ProfileRecord,
     Profiler,
     build_report,
     mailbox_backlogs,
 )
+from repro.runtime import AodbRuntime
 from repro.runtime.key import ActorKey
 
 
@@ -102,11 +102,10 @@ def test_clear_resets_everything():
 
 def test_register_metrics_exports_probes():
     profiler = Profiler(enabled=True)
-    registry = MetricsRegistry()
-    profiler.register_metrics(registry)
+    runtime = AodbRuntime(profiler=profiler)
     profiler.turns = 3
     profiler.method_record("S", "m").cpu_service += 0.25
-    snapshot = registry.snapshot()
+    snapshot = runtime.metrics.snapshot()
     assert snapshot["profile.turns"] == 3
     assert snapshot["profile.attributed_cpu_seconds"] == pytest.approx(0.25)
     assert snapshot["profile.method_overflow"] == 0

@@ -1,9 +1,17 @@
 """Activation lifecycle: hooks, idle collection, timers, reminders, failures."""
 
+import gc
+import warnings
+from types import SimpleNamespace
+
 import pytest
 
+from repro.elastic import Autoscaler, Rebalancer, SiloSpec
+from repro.ingest import IngestGateway, default_registry
 from repro.kernel import Scheduler
 from repro.net import ConstantLatency, Network
+from repro.obs import HealthMonitor, default_slo_rules
+from repro.obs.telemetry import TelemetryPump
 from repro.runtime import Actor, AodbRuntime, RuntimeConfig
 
 
@@ -303,6 +311,58 @@ def test_runtime_stop_shuts_everything_down(sched):
     assert activations == 0
     assert silos == 0
     assert sorted(Lifecycled.deactivations) == ["a0", "a1", "a2"]
+
+
+def test_runtime_stop_finishes_every_service_task(sched):
+    runtime = build_runtime(sched, redo_lag=1.0)
+    runtime.add_silo("s2", cores=2)
+    runtime.start()
+    services = [
+        runtime._collector_task,
+        runtime._reminder_task,
+        runtime._failure_detector_task,
+        *runtime._heartbeats.values(),
+        *runtime._redo_pumps.values(),
+    ]
+    assert len(services) == 7
+
+    async def main():
+        await sched.sleep(2.0)
+        await runtime.stop()
+
+    sched.run_until_complete(main())
+    assert not runtime._heartbeats and not runtime._redo_pumps
+    # A running loop takes its cancellation at its next step.
+    sched.drain()
+    assert all(task.future.cancelled() for task in services)
+
+
+def test_abandoned_runtime_leaves_no_unawaited_coroutine():
+    """Service loops of a runtime dropped before it ever ran close quietly.
+
+    Garbage collection finalizes the runtime's reference cycle in no fixed
+    order, so an un-started coroutine could be finalized before its task and
+    warn "never awaited"; deferred service tasks hold no coroutine until
+    their first step.
+    """
+
+    def abandon():
+        sched = Scheduler()
+        runtime = build_runtime(sched, redo_lag=1.0)
+        runtime.add_silo("s2", cores=2)
+        runtime.start()
+        monitor = HealthMonitor(runtime.metrics, default_slo_rules())
+        monitor.attach(sched)
+        TelemetryPump(runtime, monitor=monitor).start()
+        Autoscaler(runtime, monitor, [SiloSpec("s3")]).attach(sched)
+        Rebalancer(runtime).attach(sched)
+        IngestGateway(SimpleNamespace(runtime=runtime), default_registry()).start()
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        abandon()
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
 
 
 def test_describe_cluster_snapshot(sched):

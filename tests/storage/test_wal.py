@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kernel import Scheduler
-from repro.obs import MetricsRegistry
+from repro.runtime import AodbRuntime
 from repro.storage import InMemoryKVStore, RedoJournal
 from repro.storage.groupcommit import GroupCommitWriter
 
@@ -113,12 +113,11 @@ def test_appends_ride_the_group_commit_writer(sched):
 
 
 def test_register_metrics_exports_counters(sched):
-    journal = RedoJournal(sched)
-    registry = MetricsRegistry()
-    journal.register_metrics(registry)
+    runtime = AodbRuntime(sched)
+    journal = runtime.enable_redo_journal(redo_lag=1.0)
     run(sched, journal.append("k", {"n": 1}, base_etag=0, fence=1))
     journal.replay_for("k", stored_etag=0, fence=1)
-    values = registry.snapshot()
+    values = runtime.metrics.snapshot()
     assert values["wal.appends"] == 1
     assert values["wal.replayed_records"] == 1
     assert values["wal.pending_records"] == 1
